@@ -7,7 +7,6 @@ from .core import (
     ClassPartition,
     ConfigError,
     DrFitConfig,
-    ObservationWeights,
     analytic_weights,
     entropy_penalty,
     full_objective,
@@ -81,10 +80,6 @@ from .train import (
     TrainingError,
     TrainTrace,
     evaluate,
-    train,
-    train_analytic,
-    train_numeric,
-    train_plain,
 )
 
 __version__ = "0.1.0"

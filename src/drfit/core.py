@@ -85,47 +85,50 @@ class ClassPartition:
     def n(self) -> int:
         return sum(len(ix) for ix in self.classes)
 
-    def restrict(self, subset: np.ndarray) -> "ClassPartition":
-        """Partition of positions within `subset`, keeping class identities."""
-        subset = np.asarray(subset)
-        pos = {int(g): i for i, g in enumerate(subset)}
-        return ClassPartition(
-            [np.array([pos[int(g)] for g in ix if int(g) in pos], dtype=np.int64)
-             for ix in self.classes]
-        )
+
+def scale_to_budgets(omega: np.ndarray, labels: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Scale, in place, the weights of each class present in `labels` (which
+    index rho) so they sum to rho_c times the class's count; returns omega."""
+    for c in range(rho.size):
+        sel = labels == c
+        count = np.count_nonzero(sel)
+        if count:
+            w = omega[sel]
+            total = w.sum()
+            if total <= 0.0:
+                raise ValueError(f"all weights of class {c} are zero")
+            omega[sel] = (rho[c] * count / total) * w
+    return omega
 
 
-@dataclass
-class ObservationWeights:
-    """Per-example trust weights; analytic weights satisfy the per-class
-    sum constraint sum_{i in C_k} omega_i = rho_k |C_k|."""
+def closed_form_weights(
+    losses: np.ndarray, labels: np.ndarray, rho: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Per-class softmax of -loss/alpha over the classes present in
+    `labels`, scaled to the class budgets."""
+    omega = -losses / alpha
+    for c in range(rho.size):
+        sel = labels == c
+        if sel.any():
+            t = omega[sel]
+            omega[sel] = np.exp(t - t.max())
+    return scale_to_budgets(omega, labels, rho)
 
-    omega: np.ndarray
 
-    def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=np.float64)
-        if np.any(self.omega < 0):
-            raise ValueError("observation weights must be nonnegative")
-
-
-def analytic_weights(
-    losses: np.ndarray, part: ClassPartition, cfg: DrFitConfig
-) -> ObservationWeights:
+def analytic_weights(losses: np.ndarray, part: ClassPartition, cfg: DrFitConfig) -> np.ndarray:
     """Closed-form optimal weights: per-class softmax of -loss/alpha,
     scaled so each class sums to rho_k |C_k|."""
     losses = np.asarray(losses, dtype=np.float64)
     if not np.all(np.isfinite(losses)):
         raise ValueError("losses must be finite")
-    rho = cfg.rho_for(part.n_classes)
-    omega = np.empty_like(losses)
+    if part.n != losses.size:
+        raise ValueError(f"partition covers {part.n} of {losses.size} examples")
+    labels = np.empty(losses.size, dtype=np.int64)
     for k, idx in enumerate(part.classes):
         if len(idx) == 0:
             raise ConfigError(f"class {k} has no examples")
-        t = -losses[idx] / cfg.alpha
-        t -= t.max()
-        w = np.exp(t)
-        omega[idx] = (rho[k] * len(idx) / w.sum()) * w
-    return ObservationWeights(omega)
+        labels[idx] = k
+    return closed_form_weights(losses, labels, cfg.rho_for(part.n_classes), cfg.alpha)
 
 
 def reduced_loss(
@@ -158,7 +161,7 @@ def reduced_loss_grad(
     theta = np.asarray(theta, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[1] != theta.shape[0]:
         raise ValueError(f"gradient rows {grads.shape} do not match theta {theta.shape}")
-    w = analytic_weights(losses, part, cfg).omega
+    w = analytic_weights(losses, part, cfg)
     return w @ grads + cfg.lam * theta
 
 

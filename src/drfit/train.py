@@ -1,6 +1,6 @@
-"""Training drivers for the doubly regularised objective.
+"""The training loop for the doubly regularised objective.
 
-Three solvers share one minibatch loop:
+One minibatch loop, `train`, runs the solver named by TrainConfig.solver:
 
   * analytic: gradient steps on the reduced loss h(theta); the weights
     are the closed-form per-class softmax computed on each minibatch
@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ClassPartition, ConfigError, DrFitConfig, ObservationWeights, analytic_weights
+from .core import (ClassPartition, ConfigError, DrFitConfig, analytic_weights,
+                   closed_form_weights, scale_to_budgets)
 from .data import LabeledDataset
 from .nn import MlpParams, NumericError, mlp_forward, per_example_loss, weighted_backward
 
@@ -80,7 +81,6 @@ class EpochRecord:
     train_acc: float
     val_acc: float | None = None
     test_acc: float | None = None
-    snapshot: str | None = None
 
 
 @dataclass
@@ -126,49 +126,25 @@ def _stratified_batches(part: ClassPartition, batch_size: int, rng) -> list[np.n
     return [batches[i] for i in order]
 
 
-def _batch_analytic_weights(
-    losses_s: np.ndarray, labels_s: np.ndarray, rho: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Closed-form weights restricted to one batch: per-class softmax of
-    -loss/alpha scaled to rho_k times the class's batch count."""
-    omega = np.empty_like(losses_s)
-    for c in np.unique(labels_s):
-        sel = labels_s == c
-        t = -losses_s[sel] / alpha
-        t -= t.max()
-        w = np.exp(t)
-        omega[sel] = (rho[c] * sel.sum() / w.sum()) * w
-    return omega
+def _descend(params: MlpParams, grad: np.ndarray, lr: float) -> None:
+    """params <- params - lr * grad in place; grad is laid out as
+    MlpParams.flatten() lays out the parameters."""
+    k = 0
+    for w, b in zip(params.weights, params.biases):
+        w -= lr * grad[k : k + w.size].reshape(w.shape)
+        k += w.size
+        b -= lr * grad[k : k + b.size]
+        k += b.size
 
 
-def _renormalise(omega_s: np.ndarray, labels_s: np.ndarray, rho: np.ndarray, epoch: int) -> None:
-    """Scale each class present in the batch to mean weight rho_c, in place."""
-    for c in np.unique(labels_s):
-        sel = labels_s == c
-        total = omega_s[sel].sum()
-        if total <= 0.0:
-            raise RenormError(f"all weights of class {c} in a batch are zero", epoch)
-        omega_s[sel] *= rho[c] * sel.sum() / total
-
-
-def _run(
-    data: LabeledDataset,
-    part: ClassPartition | None,
-    dr: DrFitConfig,
-    tr: TrainConfig,
-    init: MlpParams,
-    solver: str,
-    val: LabeledDataset | None,
-    test: LabeledDataset | None,
-    sink=None,
-    snapshot_hook=None,
-):
+def train(data, dr, tr, init, val=None, test=None):
+    """Run tr.solver from a copy of init. Returns the final parameters,
+    the final weights (one per training example; for the analytic solver
+    the closed form at the final losses) and the per-epoch trace."""
     if data.n == 0:
         raise ValueError("training data is empty")
-    if part is None:
-        part = ClassPartition.from_labels(data.labels)
-    k = part.n_classes
-    rho = dr.rho_for(k)
+    part = ClassPartition.from_labels(data.labels)
+    rho = dr.rho_for(part.n_classes)
     labels = data.labels
     rng = np.random.default_rng(tr.seed)
     params = init.copy()
@@ -176,30 +152,30 @@ def _run(
     trace = TrainTrace()
 
     for epoch in range(1, tr.epochs + 1):
+        update_weights = (
+            tr.solver == "numeric" and epoch > tr.burn_in and epoch % tr.update_frequency == 0
+        )
         try:
             for subset in _stratified_batches(part, tr.batch_size, rng):
                 x_s, y_s = data.features[subset], labels[subset]
                 cache = mlp_forward(params, x_s)
-                losses_s = per_example_loss(cache, y_s)
-                if solver == "analytic":
-                    omega_s = _batch_analytic_weights(losses_s, y_s, rho, dr.alpha)
+                if tr.solver == "analytic":
+                    omega_s = closed_form_weights(per_example_loss(cache, y_s), y_s, rho, dr.alpha)
                 else:
                     omega_s = omega[subset]
                 grad = weighted_backward(params, cache, y_s, omega_s, dr.lam)
-                params = params.unflatten(params.flatten() - tr.theta_lr * grad)
+                _descend(params, grad, tr.theta_lr)
 
-                update_now = (
-                    solver == "numeric"
-                    and epoch > tr.burn_in
-                    and epoch % tr.update_frequency == 0
-                )
-                if update_now:
+                if update_weights:
                     fresh = per_example_loss(mlp_forward(params, x_s), y_s)
                     w = omega[subset] - tr.omega_lr * (
                         fresh + dr.alpha * np.log(np.maximum(omega[subset], _LOG_CLAMP))
                     )
                     np.maximum(w, 0.0, out=w)
-                    _renormalise(w, y_s, rho, epoch)
+                    try:
+                        scale_to_budgets(w, y_s, rho)
+                    except ValueError as exc:
+                        raise RenormError(f"{exc} in a batch", epoch) from exc
                     omega[subset] = w
         except NumericError as exc:
             raise TrainingError(f"training diverged: {exc}", epoch) from exc
@@ -213,36 +189,10 @@ def _run(
             train_acc=evaluate(params, data),
             val_acc=evaluate(params, val) if val is not None else None,
             test_acc=evaluate(params, test) if test is not None else None,
-            snapshot=snapshot_hook(epoch, omega.copy()) if snapshot_hook else None,
         )
         trace.append(rec)
-        if sink is not None:
-            sink(rec)
 
-    if solver == "analytic":
+    if tr.solver == "analytic":
         full_losses = per_example_loss(mlp_forward(params, data.features), labels)
-        final = analytic_weights(full_losses, part, dr)
-    else:
-        final = ObservationWeights(omega)
-    return params, final, trace
-
-
-def train_analytic(data, part, dr, tr, init, val=None, test=None, sink=None):
-    """Minibatch descent on the reduced loss; weights implied, not stored."""
-    return _run(data, part, dr, tr, init, "analytic", val, test, sink)
-
-
-def train_numeric(data, part, dr, tr, init, val=None, test=None, sink=None, snapshot_hook=None):
-    """The alternating scheme with burn-in, clipping, and renormalisation."""
-    return _run(data, part, dr, tr, init, "numeric", val, test, sink, snapshot_hook)
-
-
-def train_plain(data, part, dr, tr, init, val=None, test=None, sink=None):
-    """Fixed omega = rho_c baseline (unweighted when rho is 1)."""
-    return _run(data, part, dr, tr, init, "plain", val, test, sink)
-
-
-def train(data, part, dr, tr, init, val=None, test=None, sink=None):
-    """Dispatch on tr.solver."""
-    fn = {"analytic": train_analytic, "numeric": train_numeric, "plain": train_plain}[tr.solver]
-    return fn(data, part, dr, tr, init, val=val, test=test, sink=sink)
+        omega = analytic_weights(full_losses, part, dr)
+    return params, omega, trace

@@ -33,7 +33,7 @@ from drfit.data import (
 )
 from drfit.metrics import detection_auc
 from drfit.nn import init_params, mlp_forward, per_example_loss, weighted_backward
-from drfit.train import TrainConfig, train_analytic, train_numeric
+from drfit.train import TrainConfig, train
 from drfit import theory
 from drfit.cli import counterexample_problem, load_config, run_training_experiment
 
@@ -85,7 +85,7 @@ def test_criterion_01_closed_form_weights_are_optimal():
         alpha = float(rng.choice([0.5, 1.0, 2.0]))
         part = ClassPartition.from_labels(labels)
         cfg = DrFitConfig(alpha=alpha, lam=0.3, rho=rho)
-        omega_hat = analytic_weights(losses, part, cfg).omega
+        omega_hat = analytic_weights(losses, part, cfg)
         theta_sq = float(rng.uniform(0.0, 4.0))
 
         # the objective separates over classes, so sweep each class alone
@@ -394,14 +394,11 @@ def solver_agreement():
     dr = DrFitConfig(alpha=0.35, lam=0.0, rho=tuple(rho))
     init = init_params([2, 8, 1], seed=3)
     kw = dict(epochs=3000, batch_size=400, theta_lr=0.001, seed=11)
-    _, w_an, _ = train_analytic(
-        noisy, None, dr, TrainConfig(solver="analytic", **kw), init
+    _, w_an, _ = train(noisy, dr, TrainConfig(solver="analytic", **kw), init)
+    _, w_num, _ = train(
+        noisy, dr, TrainConfig(solver="numeric", omega_lr=0.02, burn_in=3, **kw), init
     )
-    _, w_num, _ = train_numeric(
-        noisy, None, dr,
-        TrainConfig(solver="numeric", omega_lr=0.02, burn_in=3, **kw), init,
-    )
-    return noisy, w_an.omega, w_num.omega
+    return noisy, w_an, w_num
 
 
 def test_criterion_11_both_solvers_rank_examples_alike(solver_agreement):

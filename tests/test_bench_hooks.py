@@ -1,0 +1,44 @@
+"""The benchmark's layer hooks still resolve against the program.
+
+bench/tracing.py patches public names where their callers look them up;
+a refactor that removes or renames one of them must fail here rather
+than only in a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("_bench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(module_name, path):
+    """(owner, attribute) of a hook's target; None where a name is gone,
+    so that install() is what reports it."""
+    module = importlib.import_module(module_name)
+    head, _, tail = path.partition(".")
+    owner = getattr(module, head, None)
+    return owner, (getattr(owner, tail, None) if tail else None)
+
+
+def test_every_hook_installs_and_is_restored():
+    tracing = _load_tracing()
+    before = [_resolve(m, p) for m, p, _ in tracing.HOOKS]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()  # raises HookError if a hooked name is gone
+        during = [_resolve(m, p) for m, p, _ in tracing.HOOKS]
+        assert all(b != d for b, d in zip(before, during))
+    finally:
+        tracer.uninstall()
+    after = [_resolve(m, p) for m, p, _ in tracing.HOOKS]
+    for (m, p, _), (owner0, attr0), (owner1, attr1) in zip(tracing.HOOKS, before, after):
+        assert owner1 is owner0, f"{m}.{p} not restored"
+        assert attr1 is attr0, f"{m}.{p} not restored"

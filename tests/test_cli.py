@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import drfit.cli as cli
+from drfit import theory
 from drfit.cli import (
     ConfigError,
     config_digest,
@@ -212,6 +213,19 @@ def test_sweep_excludes_points_that_always_crash(tmp_path, monkeypatch):
     assert res["best"]["alpha"] == 1.0
     crashed_row = next(r for r in res["table"] if r["alpha"] == 2.0)
     assert crashed_row["all_crashed"] is True
+
+
+def test_theory_mv_report_survives_an_optimiser_failure(tmp_path, monkeypatch):
+    def failing_search(prob, **kw):
+        raise theory.OptimisationError("no finite maximiser found")
+
+    monkeypatch.setattr(theory, "find_mv_bstar", failing_search)
+    code = main(["theory", "--kind", "theory-mv", "--output-dir", str(tmp_path)])
+    assert code == 0
+    entries = json.loads((tmp_path / "report.json").read_text())
+    failed = {e["key"]: e for e in entries if e["pass"] is False}
+    for box in ("box1", "box2"):
+        assert failed[f"{box}_b_star"]["target"] == "no finite maximiser found"
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@ from drfit.core import (
     ClassPartition,
     ConfigError,
     DrFitConfig,
-    ObservationWeights,
     analytic_weights,
     entropy_penalty,
     full_objective,
     objective_constant,
     reduced_loss,
     reduced_loss_grad,
+    scale_to_budgets,
 )
 
 
@@ -26,7 +26,7 @@ def test_weights_hand_value_single_class():
     part = ClassPartition.from_labels(np.array([0, 0]))
     cfg = DrFitConfig(alpha=1.0, lam=0.0, rho=(1.0,))
     w = analytic_weights(losses, part, cfg)
-    assert np.allclose(w.omega, [1.5, 0.5], atol=1e-12)
+    assert np.allclose(w, [1.5, 0.5], atol=1e-12)
     h = reduced_loss(losses, 0.0, part, cfg)
     assert math.isclose(h, -2.0 * math.log(4.0 / 3.0), rel_tol=1e-12)
 
@@ -84,7 +84,7 @@ def test_closed_form_beats_simplex_grid():
     rng = np.random.default_rng(42)
     for _ in range(5):
         losses, part, cfg = _random_instance(rng)
-        omega_hat = analytic_weights(losses, part, cfg).omega
+        omega_hat = analytic_weights(losses, part, cfg)
         best = full_objective(losses, omega_hat, 0.0, cfg)
         rho = cfg.rho_for(part.n_classes)
         for k, members in enumerate(part.classes):
@@ -104,7 +104,7 @@ def test_collapse_identity_random_instances():
         losses, part, cfg = _random_instance(rng)
         theta_sq = float(rng.uniform(0.0, 4.0))
         cfg = DrFitConfig(alpha=cfg.alpha, lam=0.5, rho=cfg.rho)
-        omega_hat = analytic_weights(losses, part, cfg).omega
+        omega_hat = analytic_weights(losses, part, cfg)
         lhs = full_objective(losses, omega_hat, theta_sq, cfg)
         rhs = reduced_loss(losses, theta_sq, part, cfg) + objective_constant(part, cfg)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -119,8 +119,8 @@ def test_weights_shift_invariant_and_loss_shifts_linearly():
     members = part.classes[0]
     c = 0.37
     shifted[members] += c
-    w0 = analytic_weights(losses, part, cfg).omega
-    w1 = analytic_weights(shifted, part, cfg).omega
+    w0 = analytic_weights(losses, part, cfg)
+    w1 = analytic_weights(shifted, part, cfg)
     assert np.allclose(w0, w1, atol=1e-12)
     rho = cfg.rho_for(part.n_classes)
     h0 = reduced_loss(losses, 0.0, part, cfg)
@@ -133,7 +133,7 @@ def test_weights_decrease_with_loss_within_class():
     labels = np.array([0, 0, 0, 1, 1, 1])
     part = ClassPartition.from_labels(labels)
     cfg = DrFitConfig(alpha=0.7, lam=0.0, rho=(1.2, 0.9))
-    w = analytic_weights(losses, part, cfg).omega
+    w = analytic_weights(losses, part, cfg)
     for members in part.classes:
         order = np.argsort(losses[members])
         assert np.all(np.diff(w[members][order]) < 0)
@@ -169,14 +169,28 @@ def test_reduced_loss_grad_matches_finite_differences():
 
 
 def test_partition_restrict_and_empty_class():
-    labels = np.array([0, 1, 1, 0, 1])
-    part = ClassPartition.from_labels(labels)
-    sub = part.restrict(np.array([1, 2, 4]))
-    assert sub.n_classes == 2
-    assert sub.classes[0].size == 0
+    part = ClassPartition([np.array([], dtype=np.int64), np.array([0, 1, 2])])
+    assert part.n_classes == 2
+    assert part.classes[0].size == 0
     cfg = DrFitConfig(alpha=1.0, lam=0.0, rho=(1.0, 1.0))
     with pytest.raises(ConfigError):
-        analytic_weights(np.ones(3), sub, cfg)
+        analytic_weights(np.ones(3), part, cfg)
+    with pytest.raises(ValueError):
+        analytic_weights(np.ones(4), ClassPartition.from_labels(np.array([0, 1, 1])), cfg)
+
+
+def test_scale_to_budgets_hand_example():
+    """Pre-update weights (0.9, 0.55, 0.95) in one class with budget 1 are
+    scaled by 3/2.4."""
+    omega = np.array([0.9, 0.55, 0.95])
+    scale_to_budgets(omega, np.zeros(3, dtype=int), np.array([1.0]))
+    assert np.allclose(omega, [1.125, 0.6875, 1.1875], atol=1e-12)
+
+
+def test_scale_to_budgets_rejects_fully_clipped_class():
+    omega = np.array([0.0, 0.0])
+    with pytest.raises(ValueError):
+        scale_to_budgets(omega, np.zeros(2, dtype=int), np.array([1.0]))
 
 
 def test_config_validation():
@@ -190,5 +204,3 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         cfg.rho_for(3)
     assert np.allclose(DrFitConfig(alpha=1.0, lam=0.0, rho=None).rho_for(2), 1.0)
-    with pytest.raises(ValueError):
-        ObservationWeights(np.array([0.5, -0.1]))

@@ -1,5 +1,7 @@
 """Minibatch descent, the alternating weight scheme, and their invariants."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -10,34 +12,16 @@ from drfit.train import (
     RenormError,
     TrainConfig,
     TrainingError,
-    _renormalise,
     _stratified_batches,
     evaluate,
     mean_loss,
     train,
-    train_analytic,
-    train_numeric,
-    train_plain,
 )
 
 
 def _toy_data(n=60, seed=4, noise=0.2):
     ds = synthetic_gaussian_2class(n, [1.0, 1.0], [[1.0, 0.3], [0.3, 1.0]], seed=seed)
     return inject_label_noise(ds, NoiseSpec(rates=(noise, noise), seed=seed))
-
-
-def test_renormalise_hand_example():
-    """Pre-update weights (0.9, 0.55, 0.95) in one class with budget 1 are
-    scaled by 3/2.4."""
-    omega = np.array([0.9, 0.55, 0.95])
-    _renormalise(omega, np.zeros(3, dtype=int), np.array([1.0]), epoch=1)
-    assert np.allclose(omega, [1.125, 0.6875, 1.1875], atol=1e-12)
-
-
-def test_renormalise_rejects_fully_clipped_class():
-    omega = np.array([0.0, 0.0])
-    with pytest.raises(RenormError):
-        _renormalise(omega, np.zeros(2, dtype=int), np.array([1.0]), epoch=3)
 
 
 def test_numeric_single_epoch_matches_hand_sequencing():
@@ -50,7 +34,7 @@ def test_numeric_single_epoch_matches_hand_sequencing():
         burn_in=0, update_frequency=1, seed=0, solver="numeric",
     )
     init = init_params([2, 4, 1], seed=1)
-    params, weights, trace = train_numeric(ds, None, dr, tr, init)
+    params, omega, trace = train(ds, dr, tr, init)
 
     rho = np.array([1.25, 0.8])
     omega0 = rho[ds.labels]
@@ -65,25 +49,22 @@ def test_numeric_single_epoch_matches_hand_sequencing():
     for c in (0, 1):
         sel = ds.labels == c
         w[sel] *= rho[c] * sel.sum() / w[sel].sum()
-    assert np.allclose(weights.omega, w, atol=1e-12)
+    assert np.allclose(omega, w, atol=1e-12)
     assert len(trace) == 1
 
 
 def test_numeric_weights_keep_class_budgets():
+    """A run is deterministic per seed, so the final weights of runs of 1..6
+    epochs are the weights a 6-epoch run holds after each of its epochs."""
     ds = _toy_data(n=80)
     dr = DrFitConfig(alpha=0.5, lam=0.0, rho=(1.25, 5.0 / 6.0))
-    tr = TrainConfig(
-        epochs=6, batch_size=80, theta_lr=0.005, omega_lr=0.1,
-        burn_in=1, update_frequency=1, seed=2, solver="numeric",
-    )
     init = init_params([2, 4, 1], seed=3)
-    snaps = []
-    train_numeric(
-        ds, None, dr, tr, init,
-        snapshot_hook=lambda epoch, omega: snaps.append(omega),
-    )
-    assert len(snaps) == 6
-    for omega in snaps:
+    for epochs in range(1, 7):
+        tr = TrainConfig(
+            epochs=epochs, batch_size=80, theta_lr=0.005, omega_lr=0.1,
+            burn_in=1, update_frequency=1, seed=2, solver="numeric",
+        )
+        _, omega, _ = train(ds, dr, tr, init)
         assert np.all(omega >= 0.0)
         for c in (0, 1):
             sel = ds.labels == c
@@ -97,14 +78,14 @@ def test_numeric_without_updates_equals_plain_baseline():
     dr = DrFitConfig(alpha=0.5, lam=0.1, rho=(1.0, 1.0))
     kw = dict(batch_size=16, theta_lr=0.01, seed=5)
     init = init_params([2, 4, 1], seed=6)
-    p_num, w_num, t_num = train_numeric(
-        ds, None, dr, TrainConfig(epochs=4, burn_in=10, solver="numeric", **kw), init
+    p_num, w_num, t_num = train(
+        ds, dr, TrainConfig(epochs=4, burn_in=10, solver="numeric", **kw), init
     )
-    p_pl, w_pl, t_pl = train_plain(
-        ds, None, dr, TrainConfig(epochs=4, solver="plain", **kw), init
+    p_pl, w_pl, t_pl = train(
+        ds, dr, TrainConfig(epochs=4, solver="plain", **kw), init
     )
     assert np.array_equal(p_num.flatten(), p_pl.flatten())
-    assert np.array_equal(w_num.omega, w_pl.omega)
+    assert np.array_equal(w_num, w_pl)
     assert t_num.column("train_loss") == t_pl.column("train_loss")
 
 
@@ -113,13 +94,13 @@ def test_numeric_zero_step_size_equals_plain_baseline():
     dr = DrFitConfig(alpha=0.5, lam=0.0, rho=(1.0, 1.0))
     kw = dict(batch_size=16, theta_lr=0.01, seed=5)
     init = init_params([2, 4, 1], seed=6)
-    p_num, _, _ = train_numeric(
-        ds, None, dr,
+    p_num, _, _ = train(
+        ds, dr,
         TrainConfig(epochs=4, omega_lr=0.0, burn_in=0, solver="numeric", **kw),
         init,
     )
-    p_pl, _, _ = train_plain(
-        ds, None, dr, TrainConfig(epochs=4, solver="plain", **kw), init
+    p_pl, _, _ = train(
+        ds, dr, TrainConfig(epochs=4, solver="plain", **kw), init
     )
     assert np.array_equal(p_num.flatten(), p_pl.flatten())
 
@@ -130,12 +111,12 @@ def test_analytic_with_huge_alpha_flattens_to_baseline():
     ds = _toy_data()
     kw = dict(batch_size=16, theta_lr=0.01, seed=7)
     init = init_params([2, 4, 1], seed=8)
-    _, _, t_an = train_analytic(
-        ds, None, DrFitConfig(alpha=1e9, lam=0.0, rho=(1.0, 1.0)),
+    _, _, t_an = train(
+        ds, DrFitConfig(alpha=1e9, lam=0.0, rho=(1.0, 1.0)),
         TrainConfig(epochs=5, solver="analytic", **kw), init,
     )
-    _, _, t_pl = train_plain(
-        ds, None, DrFitConfig(alpha=1e9, lam=0.0, rho=(1.0, 1.0)),
+    _, _, t_pl = train(
+        ds, DrFitConfig(alpha=1e9, lam=0.0, rho=(1.0, 1.0)),
         TrainConfig(epochs=5, solver="plain", **kw), init,
     )
     a = np.array(t_an.column("train_loss"))
@@ -148,12 +129,12 @@ def test_zero_epochs_returns_initial_state():
     dr = DrFitConfig(alpha=0.5, lam=0.0, rho=(1.0, 1.0))
     tr = TrainConfig(epochs=0, batch_size=16, theta_lr=0.01, solver="analytic")
     init = init_params([2, 4, 1], seed=9)
-    params, weights, trace = train_analytic(ds, None, dr, tr, init)
+    params, weights, trace = train(ds, dr, tr, init)
     assert np.array_equal(params.flatten(), init.flatten())
     assert len(trace) == 0
     part = ClassPartition.from_labels(ds.labels)
     losses = per_example_loss(mlp_forward(init, ds.features), ds.labels)
-    assert np.allclose(weights.omega, analytic_weights(losses, part, dr).omega)
+    assert np.allclose(weights, analytic_weights(losses, part, dr))
 
 
 def test_full_batch_descent_is_monotone():
@@ -170,7 +151,7 @@ def test_full_batch_descent_is_monotone():
         losses = per_example_loss(cache, ds.labels)
         theta = params.flatten()
         values.append(reduced_loss(losses, float(theta @ theta), part, dr))
-        omega = analytic_weights(losses, part, dr).omega
+        omega = analytic_weights(losses, part, dr)
         grad = weighted_backward(params, cache, ds.labels, omega, dr.lam)
         params = params.unflatten(theta - lr * grad)
     diffs = np.diff(values)
@@ -186,10 +167,10 @@ def test_training_is_deterministic():
         burn_in=1, seed=11, solver="numeric",
     )
     init = init_params([2, 4, 1], seed=12)
-    p1, w1, t1 = train(ds, None, dr, tr, init)
-    p2, w2, t2 = train(ds, None, dr, tr, init)
+    p1, w1, t1 = train(ds, dr, tr, init)
+    p2, w2, t2 = train(ds, dr, tr, init)
     assert np.array_equal(p1.flatten(), p2.flatten())
-    assert np.array_equal(w1.omega, w2.omega)
+    assert np.array_equal(w1, w2)
     assert t1.column("train_loss") == t2.column("train_loss")
 
 
@@ -201,7 +182,7 @@ def test_divergence_reports_the_epoch():
     tr = TrainConfig(epochs=3, batch_size=16, theta_lr=1e307, solver="analytic")
     init = init_params([2, 4, 1], seed=13)
     with pytest.raises(TrainingError) as err, np.errstate(over="ignore", invalid="ignore"):
-        train_analytic(ds, None, dr, tr, init)
+        train(ds, dr, tr, init)
     assert err.value.epoch == 1
     assert "(epoch 1)" in str(err.value)
 
@@ -215,7 +196,7 @@ def test_runaway_weight_step_trips_renormalisation():
     )
     init = init_params([2, 4, 1], seed=14)
     with pytest.raises(RenormError):
-        train_numeric(ds, None, dr, tr, init)
+        train(ds, dr, tr, init)
 
 
 def test_stratified_batches_partition_the_data():
@@ -253,3 +234,10 @@ def test_train_config_validation():
         TrainConfig(epochs=1, batch_size=16, theta_lr=0.01, solver="magic")
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, batch_size=16, theta_lr=0.01, update_frequency=0)
+
+
+def test_train_submodule_is_not_shadowed():
+    import drfit.train as m
+
+    assert isinstance(m, types.ModuleType)
+    assert callable(m.train)
