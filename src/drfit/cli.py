@@ -81,6 +81,7 @@ _DEFAULTS = {
     "data": {
         "root": None,
         "snapshot": None,
+        "test_snapshot": None,
         "subsample": 2000,
         "val_fraction": 0.1,
         "hidden": [8],
@@ -101,7 +102,7 @@ _DEFAULTS = {
         "alpha_step": 0.01,
         "nodes": 64,
     },
-    "sweep": {"alpha_grid": [1.0, 2.0, 4.0], "lam_grid": [0.0]},
+    "sweep": {"alpha_grid": [1.0, 2.0, 4.0], "lam_grid": [0.0], "train_kind": "synthetic-train"},
 }
 
 
@@ -117,7 +118,21 @@ def _deep_update(base: dict, extra: dict) -> dict:
     return base
 
 
+def _undefined_key(extra: dict, defaults: dict, prefix: str = "") -> str | None:
+    """First dotted key of extra that the defaults tree does not define."""
+    for k, v in extra.items():
+        if k not in defaults:
+            return prefix + k
+        if isinstance(v, dict) and isinstance(defaults[k], dict):
+            bad = _undefined_key(v, defaults[k], f"{prefix}{k}.")
+            if bad is not None:
+                return bad
+    return None
+
+
 def load_config(path: str | None, overrides: list[str]) -> dict:
+    """Defaults, then the JSON file, then each key=value override; a key
+    that the defaults do not define is a ConfigError."""
     cfg = copy.deepcopy(_DEFAULTS)
     if path is not None:
         try:
@@ -129,6 +144,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError("config root must be a JSON object")
+        bad = _undefined_key(file_cfg, _DEFAULTS)
+        if bad is not None:
+            raise ConfigError(f"unknown config key {bad!r} in {path}")
         _deep_update(cfg, file_cfg)
     for item in overrides:
         if "=" not in item:
@@ -138,8 +156,14 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
         parts = key.split(".")
+        nested = value
+        for p in reversed(parts):
+            nested = {p: nested}
+        bad = _undefined_key(nested, _DEFAULTS)
+        if bad is not None:
+            raise ConfigError(f"unknown config key {bad!r} in override {item!r}")
+        node = cfg
         for p in parts[:-1]:
             node = node.setdefault(p, {})
             if not isinstance(node, dict):
@@ -198,7 +222,7 @@ def _train_config(cfg: dict, seed: int | None = None, solver: str | None = None)
 
 
 def data_root(cfg: dict) -> Path:
-    root = cfg["data"].get("root") or os.environ.get(DATA_ROOT_ENV)
+    root = cfg["data"]["root"] or os.environ.get(DATA_ROOT_ENV)
     if not root:
         raise DataError(
             f"no data root: set data.root in the config or the {DATA_ROOT_ENV} variable"
@@ -230,12 +254,12 @@ def _noisy_mnist_train(cfg: dict, root: Path) -> LabeledDataset:
 def build_mnist_datasets(cfg: dict):
     """Noisy train/val (carved after noise injection) plus the clean test set."""
     d = cfg["data"]
-    if d.get("snapshot"):
+    if d["snapshot"]:
         noisy = load_dataset_csv(d["snapshot"])
         if noisy.true_labels is None:
             raise DataError("snapshot lacks true labels; run mnist-prep first")
         test = None
-        if d.get("test_snapshot"):
+        if d["test_snapshot"]:
             test = load_dataset_csv(d["test_snapshot"])
     else:
         root = data_root(cfg)
@@ -616,7 +640,7 @@ def run_sweep(cfg: dict) -> dict:
         raise ConfigError("sweep grids must be nonempty")
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    base_kind = cfg["sweep"].get("train_kind", "synthetic-train")
+    base_kind = cfg["sweep"]["train_kind"]
     rows, best = [], None
     for alpha in alphas:
         for lam in lams:

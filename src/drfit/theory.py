@@ -223,13 +223,15 @@ def nodes_weights(dist, rule: QuadratureRule = DEFAULT_RULE):
     raise TypeError(f"no quadrature for {type(dist).__name__}")
 
 
-def expect(dist, f, rule: QuadratureRule = DEFAULT_RULE) -> float:
-    """E[f(X)] by quadrature (exact for discrete X). f must accept arrays."""
+def expect(dist, f, rule: QuadratureRule = DEFAULT_RULE) -> float | np.ndarray:
+    """E[f(X)] by quadrature (exact for discrete X). f must accept arrays; an
+    integrand of shape (nodes, k) gives the k column expectations as an array."""
     x, w = nodes_weights(dist, rule)
     fx = np.asarray(f(x), dtype=float)
     if not np.all(np.isfinite(fx)):
         raise FloatingPointError("integrand evaluated non-finite at a quadrature node")
-    return float(w @ fx)
+    e = w @ fx
+    return float(e) if fx.ndim == 1 else e
 
 
 # ---------------------------------------------------------------------------
@@ -395,29 +397,25 @@ def noisy_estimator_1d(prob: PopulationProblem) -> float:
     return _positive_root(_score_function(prob, constant), "noisy estimator")
 
 
-def _safe_log(e: float) -> float:
-    return math.log(e) if e > 0.0 else -math.inf
-
-
 def weighted_objective_1d(prob: PopulationProblem, b: float, s):
-    """O_b(s), vectorised over s. For b = 0 this is the (shifted) expected
-    log-likelihood, i.e. the b -> 0 limit of (1/b) O_b up to constants."""
+    """O_b(s) for all s at once, one (nodes x s) integrand per mixture component.
+    At b = 0, the shifted expected log-likelihood: (1/b) O_b as b -> 0, up to constants."""
     rule = prob.rule
     p1, p0 = prob.label_priors
-    scalar = np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty_like(s)
-    mix1, mix0 = prob.label_mixture(1), prob.label_mixture(0)
-    for i, si in enumerate(s):
-        if b == 0.0:
-            e1 = _mixture_expect(mix1, lambda x: log_sigma2(si * x), rule)
-            e0 = _mixture_expect(mix0, lambda x: log_sigma2(-si * x), rule)
-            out[i] = p1 * e1 + p0 * e0
-        else:
-            e1 = _mixture_expect(mix1, lambda x: np.exp(b * log_sigma2(si * x)), rule)
-            e0 = _mixture_expect(mix0, lambda x: np.exp(b * log_sigma2(-si * x)), rule)
-            out[i] = p1 * _safe_log(e1) + p0 * _safe_log(e0)
-    return float(out[0]) if scalar else out
+    s = np.asarray(s, dtype=float)
+
+    def moment(label: int, t):
+        def f(x):
+            ls = log_sigma2(np.multiply.outer(x, t))
+            return ls if b == 0.0 else np.exp(b * ls)
+        return _mixture_expect(prob.label_mixture(label), f, rule)
+
+    e1, e0 = moment(1, s), moment(0, -s)
+    if b != 0.0:
+        with np.errstate(divide="ignore"):  # an expectation underflowed to 0 gives -inf
+            e1, e0 = np.log(e1), np.log(e0)
+    out = p1 * e1 + p0 * e0
+    return float(out) if s.ndim == 0 else out
 
 
 def _m_function(prob: PopulationProblem, b: float):
@@ -722,14 +720,14 @@ def discontinuity_scan(
     for a in alphas:
         b = 1.0 / a
         vals = weighted_objective_1d(prob, b, grid)
-        peaks = []
-        for i in range(1, len(grid) - 1):
-            if vals[i] > vals[i - 1] + 1e-13 and vals[i] > vals[i + 1] + 1e-13:
-                s_ref, v_ref = _golden_max(
-                    lambda s: float(weighted_objective_1d(prob, b, s)),
-                    grid[i - 1], grid[i + 1],
-                )
-                peaks.append((float(s_ref), float(v_ref)))
+        peaks, inner = [], vals[1:-1]
+        rises = (inner > vals[:-2] + 1e-13) & (inner > vals[2:] + 1e-13)
+        for i in np.flatnonzero(rises) + 1:
+            s_ref, v_ref = _golden_max(
+                lambda s: float(weighted_objective_1d(prob, b, s)),
+                grid[i - 1], grid[i + 1],
+            )
+            peaks.append((float(s_ref), float(v_ref)))
         # Still rising at the edge of the grid means a divergent branch,
         # but the far tail of a settled profile is flat to machine noise,
         # so demand a rise that clears the quadrature noise floor.

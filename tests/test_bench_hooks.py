@@ -42,3 +42,20 @@ def test_every_hook_installs_and_is_restored():
     for (m, p, _), (owner0, attr0), (owner1, attr1) in zip(tracing.HOOKS, before, after):
         assert owner1 is owner0, f"{m}.{p} not restored"
         assert attr1 is attr0, f"{m}.{p} not restored"
+
+
+def test_theory_scan_spans_fire():
+    """The scan's objective must keep going through expect and
+    nodes_weights, or the traced benchmark loses its theory layers."""
+    tracing = _load_tracing()
+    theory = importlib.import_module("drfit.theory")
+    prob = importlib.import_module("drfit.cli").counterexample_problem()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        theory.discontinuity_scan(prob, [1.55, 1.6], grid_points=301)
+    finally:
+        tracer.uninstall()
+    calls = tracer.reduce()["calls"]
+    for span in ("theory.scan", "theory.objective_1d", "theory.expect", "theory.nodes"):
+        assert calls[span] > 0, f"span {span} did not fire"

@@ -84,6 +84,37 @@ def test_malformed_override_is_a_config_error():
         load_config(None, ["no-equals-sign"])
 
 
+def test_unknown_override_key_is_a_config_error():
+    with pytest.raises(ConfigError, match="train.epoch"):
+        load_config(None, ["kind=synthetic-train", "train.epoch=50"])
+    with pytest.raises(ConfigError, match="theory.alpha_setp"):
+        load_config(None, ["theory.alpha_setp=0.5"])
+    with pytest.raises(ConfigError, match="train.epoch"):
+        load_config(None, ['train={"epoch": 50}'])
+
+
+def test_unknown_config_file_key_is_a_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"train": {"epochs": 9, "epoch": 50}}))
+    with pytest.raises(ConfigError, match="train.epoch"):
+        load_config(str(path), [])
+    path.write_text(json.dumps({"trian": {"epochs": 9}}))
+    with pytest.raises(ConfigError, match="trian"):
+        load_config(str(path), [])
+
+
+def test_unknown_override_key_exits_2(tmp_path):
+    argv = ["train", "--output-dir", str(tmp_path), "--set", "train.epoch=50"]
+    assert main(argv) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_keys_read_by_the_runners_are_defined():
+    cfg = load_config(None, ["sweep.train_kind=mnist-1v7", "data.test_snapshot=x.csv"])
+    assert cfg["sweep"]["train_kind"] == "mnist-1v7"
+    assert cfg["data"]["test_snapshot"] == "x.csv"
+
+
 # ---------------------------------------------------------------------------
 # training artifacts
 
@@ -267,6 +298,32 @@ def test_mnist_prep_snapshot_roundtrip(tmp_path):
     flips1 = np.sum(ds.mislabel_mask & (ds.true_labels == 1))
     assert flips0 == round(0.3 * np.sum(ds.true_labels == 0))
     assert flips1 == round(0.1 * np.sum(ds.true_labels == 1))
+
+
+def test_sweep_trains_mnist_from_snapshots_with_a_test_set(tmp_path):
+    root, _ = mnist_root()
+    snaps = {"train": (tmp_path / "train.csv", "[0.3,0.1]"), "test": (tmp_path / "test.csv", "[0,0]")}
+    for snap, rates in snaps.values():
+        prep = ["mnist-prep", "--out", str(snap), "--set", f"data.root={root}"]
+        prep += ["--set", "data.subsample=200", "--set", f"noise.rates={rates}"]
+        assert main(prep) == 0
+    cfg = load_config(
+        None,
+        [
+            "kind=hyper-sweep",
+            "sweep.train_kind=mnist-1v7",
+            "sweep.alpha_grid=[1.0]",
+            f"data.snapshot={snaps['train'][0]}",
+            f"data.test_snapshot={snaps['test'][0]}",
+            "train.epochs=1",
+            f"output_dir={tmp_path / 'sweep'}",
+        ],
+    )
+    res = run_sweep(cfg)
+    assert res["table"][0]["runs"] == 1
+    point = tmp_path / "sweep" / "alpha1.0-lam0.0"
+    assert json.loads((point / "resolved_config.json").read_text())["kind"] == "mnist-1v7"
+    assert json.loads((point / "summary.json").read_text())["mean_final_test_acc"] is not None
 
 
 # ---------------------------------------------------------------------------

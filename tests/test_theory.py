@@ -6,6 +6,7 @@ written integrands, so they do not share code with the package routines.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,25 @@ def test_quadrature_validation():
     assert abs(w.sum() - 1.0) < 1e-12
     with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
         expect(Gaussian(0.0, 1.0), lambda x: np.log(x))
+
+
+def test_expect_over_a_trailing_axis():
+    """An integrand of shape (nodes, k) gives k expectations at once."""
+    for d in (Gaussian(0.5, 2.0), Discrete((-1.0, 1.0, 10.0), (0.1, 0.1, 0.8))):
+        scales = np.array([0.1, 1.0, 3.0])
+        cols = expect(d, lambda x: np.tanh(np.multiply.outer(x, scales)))
+        assert isinstance(cols, np.ndarray) and cols.shape == (3,)
+        each = [expect(d, lambda x: np.tanh(c * x)) for c in scales]
+        np.testing.assert_allclose(cols, each, rtol=0, atol=1e-15)
+        assert isinstance(expect(d, np.tanh), float)
+
+        def one_bad_entry(x):
+            fx = np.column_stack([x, x * x])
+            fx[-1, 1] = np.nan
+            return fx
+
+        with pytest.raises(FloatingPointError):
+            expect(d, one_bad_entry)
 
 
 def test_negate_flips_the_distribution():
@@ -222,6 +242,43 @@ def test_objective_value_at_reference_point():
     value = weighted_objective_1d(prob, 1.0 / 1.6, 0.1265)
     assert value == pytest.approx(-0.362022143058, abs=1e-9)
     assert isinstance(value, float)
+
+
+COUNTEREXAMPLE_PROB = PopulationProblem(
+    Discrete((-1.0, 1.0, 10.0), (0.1, 0.1, 0.8)),
+    dist0=Discrete((-1.0, 1.0), (0.5, 0.5)),
+    symmetric_negation=False,
+    q=0.2,
+)
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [
+        COUNTEREXAMPLE_PROB,
+        GAUSS_PROB,
+        PopulationProblem(Gaussian(1.0, 1.0), q=(0.3, 0.1)),
+        PopulationProblem(Uniform(0.0, 2.0), q=0.2),
+    ],
+    ids=["counterexample", "gaussian", "gaussian-asymmetric-q", "uniform"],
+)
+def test_objective_over_a_grid_matches_pointwise(prob):
+    grid = np.linspace(1e-6, 30.0, 301)
+    for b in (0.0, 0.3, 1.0 / 1.6, 0.9):
+        together = weighted_objective_1d(prob, b, grid)
+        pointwise = [weighted_objective_1d(prob, b, float(s)) for s in grid]
+        assert all(isinstance(v, float) for v in pointwise)
+        np.testing.assert_allclose(together, pointwise, rtol=0, atol=1e-13)
+
+
+def test_objective_of_an_underflowed_expectation_is_minus_infinity():
+    # one atom at 1, no flips: at s = -1000 every sigma2(s x)^b underflows
+    prob = PopulationProblem(Discrete((1.0,), (1.0,)), q=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert weighted_objective_1d(prob, 1.0, -1000.0) == -math.inf
+        values = weighted_objective_1d(prob, 1.0, np.array([-1000.0, 1.0]))
+    assert values[0] == -math.inf and np.isfinite(values[1])
 
 
 def test_bstar_restores_the_clean_optimum():
