@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -168,7 +169,8 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             node = node.setdefault(p, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"override path {key!r} crosses a non-object")
-        node[parts[-1]] = value
+        # an object value merges into the section instead of replacing it
+        _deep_update(node, {parts[-1]: value})
     return cfg
 
 
@@ -190,7 +192,7 @@ def config_digest(cfg: dict) -> str:
 
 def _drfit_config(cfg: dict, ds: LabeledDataset | None) -> DrFitConfig:
     section = cfg["drfit"]
-    rho = section.get("rho", "auto")
+    rho = section["rho"]
     if rho == "auto":
         if ds is None:
             raise ConfigError("rho 'auto' needs a dataset with known noise rates")
@@ -207,18 +209,27 @@ def _drfit_config(cfg: dict, ds: LabeledDataset | None) -> DrFitConfig:
     return DrFitConfig(alpha=float(section["alpha"]), lam=float(section["lam"]), rho=rho)
 
 
-def _train_config(cfg: dict, seed: int | None = None, solver: str | None = None) -> TrainConfig:
+def _train_config(cfg: dict) -> TrainConfig:
+    """The train section as a TrainConfig. alpha and lam are converted too,
+    so that a value of the wrong type fails as a ConfigError before any
+    artifact is written."""
     t = cfg["train"]
-    return TrainConfig(
-        epochs=int(t["epochs"]),
-        batch_size=int(t["batch_size"]),
-        theta_lr=float(t["theta_lr"]),
-        omega_lr=float(t["omega_lr"]),
-        burn_in=int(t["burn_in"]),
-        update_frequency=int(t["update_frequency"]),
-        seed=int(t["seed"] if seed is None else seed),
-        solver=t["solver"] if solver is None else solver,
-    )
+    try:
+        DrFitConfig(alpha=float(cfg["drfit"]["alpha"]), lam=float(cfg["drfit"]["lam"]))
+        return TrainConfig(
+            epochs=int(t["epochs"]),
+            batch_size=int(t["batch_size"]),
+            theta_lr=float(t["theta_lr"]),
+            omega_lr=float(t["omega_lr"]),
+            burn_in=int(t["burn_in"]),
+            update_frequency=int(t["update_frequency"]),
+            seed=int(t["seed"]),
+            solver=t["solver"],
+        )
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid training setting: {exc}") from exc
 
 
 def data_root(cfg: dict) -> Path:
@@ -333,6 +344,7 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
     """Replication-many seeded runs plus aggregate CSVs. Returns the
     summary dictionary (also written to summary.json)."""
     cfg = validate_config(cfg)
+    base = _train_config(cfg)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     digest = config_digest(cfg)
@@ -345,12 +357,11 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
     dr = _drfit_config(cfg, train_ds)
     layer_sizes = [train_ds.n_features, *map(int, cfg["data"]["hidden"]), 1]
     n_rep = int(cfg["replications"])
-    base_seed = int(cfg["train"]["seed"])
 
     runs, omegas, failures = [], [], []
     for r in range(n_rep):
-        seed = base_seed + r
-        tr = _train_config(cfg, seed=seed)
+        seed = base.seed + r
+        tr = dataclasses.replace(base, seed=seed)
         run_dir = out / f"{digest}-seed{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()

@@ -86,19 +86,30 @@ class ClassPartition:
         return sum(len(ix) for ix in self.classes)
 
 
+def _class_masks(labels: np.ndarray, n_classes: int) -> list[tuple[int, np.ndarray]]:
+    """(c, labels == c) for each class c < n_classes present in labels."""
+    masks = []
+    for c in range(n_classes):
+        sel = labels == c
+        if sel.any():
+            masks.append((c, sel))
+    return masks
+
+
+def _scale(omega: np.ndarray, masks: list[tuple[int, np.ndarray]], rho: np.ndarray) -> np.ndarray:
+    for c, sel in masks:
+        w = omega[sel]
+        total = w.sum()
+        if total <= 0.0:
+            raise ValueError(f"all weights of class {c} are zero")
+        omega[sel] = (rho[c] * w.size / total) * w
+    return omega
+
+
 def scale_to_budgets(omega: np.ndarray, labels: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Scale, in place, the weights of each class present in `labels` (which
     index rho) so they sum to rho_c times the class's count; returns omega."""
-    for c in range(rho.size):
-        sel = labels == c
-        count = np.count_nonzero(sel)
-        if count:
-            w = omega[sel]
-            total = w.sum()
-            if total <= 0.0:
-                raise ValueError(f"all weights of class {c} are zero")
-            omega[sel] = (rho[c] * count / total) * w
-    return omega
+    return _scale(omega, _class_masks(labels, rho.size), rho)
 
 
 def closed_form_weights(
@@ -107,12 +118,11 @@ def closed_form_weights(
     """Per-class softmax of -loss/alpha over the classes present in
     `labels`, scaled to the class budgets."""
     omega = -losses / alpha
-    for c in range(rho.size):
-        sel = labels == c
-        if sel.any():
-            t = omega[sel]
-            omega[sel] = np.exp(t - t.max())
-    return scale_to_budgets(omega, labels, rho)
+    masks = _class_masks(labels, rho.size)
+    for _, sel in masks:
+        t = omega[sel]
+        omega[sel] = np.exp(t - t.max())
+    return _scale(omega, masks, rho)
 
 
 def analytic_weights(losses: np.ndarray, part: ClassPartition, cfg: DrFitConfig) -> np.ndarray:

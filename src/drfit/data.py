@@ -330,25 +330,36 @@ def stratified_split(ds: LabeledDataset, fractions, seed: int = 0) -> list[Label
 # ---------------------------------------------------------------------------
 # CSV snapshots
 
+_SNAPSHOT_ROWS = 512
+
+
 def save_dataset_csv(ds: LabeledDataset, path) -> None:
     """Columnar snapshot: f0..f{d-1} as floats, then label and, when
-    present, true_label and mislabel as integers."""
+    present, true_label and mislabel as integers. The bytes are those of
+    csv.writer given repr(float) cells: comma-separated, CRLF line ends."""
     cols = [f"f{j}" for j in range(ds.n_features)] + ["label"]
+    ints = [ds.labels]
     if ds.true_labels is not None:
         cols.append("true_label")
+        ints.append(ds.true_labels)
     if ds.mislabel_mask is not None:
         cols.append("mislabel")
+        ints.append(ds.mislabel_mask.astype(np.int64))
+    # repr once per distinct bit pattern; np.unique on the floats themselves
+    # would merge -0.0 into 0.0
+    bits = np.ascontiguousarray(ds.features, dtype=np.float64).view(np.int64)
+    distinct = np.unique(bits)
+    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    tails = np.column_stack(ints).astype(str)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.features[i]]
-            row.append(int(ds.labels[i]))
-            if ds.true_labels is not None:
-                row.append(int(ds.true_labels[i]))
-            if ds.mislabel_mask is not None:
-                row.append(int(ds.mislabel_mask[i]))
-            writer.writerow(row)
+        fh.write(",".join(cols) + "\r\n")
+        # a block of rows at a time, so the text of the whole file is never held
+        for lo in range(0, ds.n, _SNAPSHOT_ROWS):
+            block = slice(lo, lo + _SNAPSHOT_ROWS)
+            cells = text[np.searchsorted(distinct, bits[block])].tolist()
+            fh.writelines(
+                ",".join(f + t) + "\r\n" for f, t in zip(cells, tails[block].tolist())
+            )
 
 
 def load_dataset_csv(path) -> LabeledDataset:

@@ -152,14 +152,14 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> ForwardCache:
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w + b
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise NumericError(f"non-finite pre-activation at layer {i}")
         pre_acts.append(z)
         a = z if i == last else _activate(z, params.activation)
         acts.append(a)
     if params.output == "logistic":
-        z = pre_acts[-1][:, 0]
-        scores = np.column_stack([-z, z])
+        z = pre_acts[-1]
+        scores = np.concatenate((-z, z), axis=1)
     else:
         scores = pre_acts[-1]
     return ForwardCache(inputs=x, pre_acts=pre_acts, acts=acts, scores=scores)
@@ -197,11 +197,10 @@ def weighted_backward(
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (cache.n,):
         raise ShapeError(f"omega {omega.shape} vs batch of {cache.n}")
-    if np.any(omega < 0):
+    if (omega < 0).any():
         raise ValueError("observation weights must be nonnegative")
 
-    probs = softmax_probs(cache.scores)
-    d_scores = probs.copy()
+    d_scores = softmax_probs(cache.scores)
     d_scores[np.arange(cache.n), labels] -= 1.0
     d_scores *= omega[:, None]
 
@@ -217,7 +216,7 @@ def weighted_backward(
         a_prev = cache.inputs if i == 0 else cache.acts[i - 1]
         grads_w[i] = a_prev.T @ d_z
         grads_b[i] = d_z.sum(axis=0)
-        if not np.all(np.isfinite(grads_w[i])):
+        if not np.isfinite(grads_w[i]).all():
             raise NumericError(f"non-finite gradient at layer {i}")
         if i > 0:
             d_a = d_z @ params.weights[i].T

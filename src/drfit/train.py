@@ -97,12 +97,15 @@ class TrainTrace:
         return [getattr(r, name) for r in self.records]
 
 
+def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
+    return float(np.mean(scores.argmax(axis=1) == labels))
+
+
 def evaluate(params: MlpParams, ds: LabeledDataset) -> float:
     """Fraction of examples whose highest-scoring class is the label."""
     if ds.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    scores = mlp_forward(params, ds.features).scores
-    return float(np.mean(scores.argmax(axis=1) == ds.labels))
+    return _accuracy(mlp_forward(params, ds.features).scores, ds.labels)
 
 
 def mean_loss(params: MlpParams, ds: LabeledDataset) -> float:
@@ -113,15 +116,20 @@ def mean_loss(params: MlpParams, ds: LabeledDataset) -> float:
 def _stratified_batches(part: ClassPartition, batch_size: int, rng) -> list[np.ndarray]:
     """Deal each class's shuffled members round-robin over the batches so
     class proportions are as even as possible in every batch."""
-    n = part.n
-    n_batches = max(1, math.ceil(n / batch_size))
-    buckets: list[list[int]] = [[] for _ in range(n_batches)]
-    for members in part.classes:
-        perm = rng.permutation(members)
+    n_batches = max(1, math.ceil(part.n / batch_size))
+    members, buckets = [], []
+    for idx in part.classes:
+        perm = rng.permutation(idx)
         offset = int(rng.integers(n_batches)) if n_batches > 1 else 0
-        for j, g in enumerate(perm):
-            buckets[(j + offset) % n_batches].append(int(g))
-    batches = [np.array(sorted(b), dtype=np.int64) for b in buckets if b]
+        members.append(perm)
+        buckets.append((np.arange(perm.size) + offset) % n_batches)
+    members, buckets = np.concatenate(members), np.concatenate(buckets)
+    # one sort of the key (bucket, index) orders by bucket, then by index;
+    # the indices are distinct, so the key is too
+    span = int(members.max(initial=0)) + 1
+    dealt = np.sort(buckets * span + members) % span
+    ends = np.cumsum(np.bincount(buckets, minlength=n_batches)).tolist()
+    batches = [dealt[a:b] for a, b in zip([0, *ends], ends) if b > a]
     order = rng.permutation(len(batches))
     return [batches[i] for i in order]
 
@@ -177,16 +185,17 @@ def train(data, dr, tr, init, val=None, test=None):
                     except ValueError as exc:
                         raise RenormError(f"{exc} in a batch", epoch) from exc
                     omega[subset] = w
+            cache = mlp_forward(params, data.features)
+            loss = float(per_example_loss(cache, labels).mean())
         except NumericError as exc:
             raise TrainingError(f"training diverged: {exc}", epoch) from exc
 
-        loss = mean_loss(params, data)
         if not math.isfinite(loss):
             raise TrainingError("non-finite training loss", epoch)
         rec = EpochRecord(
             epoch=epoch,
             train_loss=loss,
-            train_acc=evaluate(params, data),
+            train_acc=_accuracy(cache.scores, labels),
             val_acc=evaluate(params, val) if val is not None else None,
             test_acc=evaluate(params, test) if test is not None else None,
         )

@@ -115,6 +115,26 @@ def test_keys_read_by_the_runners_are_defined():
     assert cfg["data"]["test_snapshot"] == "x.csv"
 
 
+def test_object_override_merges_into_its_section():
+    cfg = load_config(None, ['drfit={"alpha": 0.5}'])
+    assert cfg["drfit"] == {"alpha": 0.5, "lam": 0.0, "rho": "auto"}
+    cfg = load_config(None, ['data={"mu": [2.0, 0.0]}', "data.n=50"])
+    assert cfg["data"]["mu"] == [2.0, 0.0] and cfg["data"]["n"] == 50
+    assert cfg["data"]["hidden"] == [8]
+    with pytest.raises(ConfigError, match="drfit.alhpa"):
+        load_config(None, ['drfit={"alhpa": 0.5}'])
+
+
+def test_bad_value_type_exits_2_before_any_artifact(tmp_path):
+    for k, bad in enumerate(
+        ["train.epochs=abc", "train.batch_size=[4]", "train.solver=magic",
+         "drfit.alpha=abc", "drfit.lam=null"]
+    ):
+        out = tmp_path / f"out{k}"
+        assert main(["train", "--output-dir", str(out), "--set", bad]) == 2, bad
+        assert not out.exists(), bad
+
+
 # ---------------------------------------------------------------------------
 # training artifacts
 

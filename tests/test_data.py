@@ -1,5 +1,7 @@
 """Ingestion, label-noise injection, weight budgets, and dataset plumbing."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,51 @@ def test_csv_roundtrip_with_and_without_mask(tmp_path):
     assert back2.true_labels is None
     assert back2.mislabel_mask is None
     assert np.array_equal(back2.features, ds.features)
+
+
+def _csv_writer_snapshot(ds, path):
+    """Reference: csv.writer over repr(float) feature cells and int columns."""
+    cols = [f"f{j}" for j in range(ds.n_features)] + ["label"]
+    if ds.true_labels is not None:
+        cols.append("true_label")
+    if ds.mislabel_mask is not None:
+        cols.append("mislabel")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for i in range(ds.n):
+            row = [repr(float(v)) for v in ds.features[i]]
+            row.append(int(ds.labels[i]))
+            if ds.true_labels is not None:
+                row.append(int(ds.true_labels[i]))
+            if ds.mislabel_mask is not None:
+                row.append(int(ds.mislabel_mask[i]))
+            writer.writerow(row)
+
+
+def test_snapshot_bytes_match_csv_writer_with_repr(tmp_path):
+    """Signed zeros, a subnormal, 1/3 and repeated values: each cell keeps
+    the text repr gives it, with and without the true-label and mask columns."""
+    features = np.array(
+        [
+            [-0.0, 0.0, 5e-324, 1.0 / 3.0],
+            [1.0 / 3.0, -0.0, 1e300, -2.5e-310],
+            [0.1, 0.1, 1e16, -1.0 / 3.0],
+        ]
+    )
+    labels = np.array([0, 1, 1])
+    cases = [
+        LabeledDataset(features, labels, np.array([0, 1, 0]), np.array([False, False, True])),
+        LabeledDataset(features, labels, np.array([0, 1, 0])),
+        LabeledDataset(features, labels),
+        inject_label_noise(_balanced_ds(20), NoiseSpec(rates=(0.2, 0.2), seed=1)),
+    ]
+    for k, ds in enumerate(cases):
+        save_dataset_csv(ds, tmp_path / f"new{k}.csv")
+        _csv_writer_snapshot(ds, tmp_path / f"ref{k}.csv")
+        assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()
+    back = load_dataset_csv(tmp_path / "new0.csv")
+    assert np.array_equal(np.signbit(back.features), np.signbit(features))
 
 
 def test_dataset_invariant_checks():

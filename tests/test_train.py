@@ -1,9 +1,12 @@
 """Minibatch descent, the alternating weight scheme, and their invariants."""
 
+import math
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drfit.core import ClassPartition, ConfigError, DrFitConfig, analytic_weights, reduced_loss
 from drfit.data import LabeledDataset, NoiseSpec, inject_label_noise, synthetic_gaussian_2class
@@ -174,12 +177,14 @@ def test_training_is_deterministic():
     assert t1.column("train_loss") == t2.column("train_loss")
 
 
-def test_divergence_reports_the_epoch():
+@pytest.mark.parametrize("batch_size", [16, 60])
+def test_divergence_reports_the_epoch(batch_size):
     """A step size big enough to overflow the layer products must surface
-    as a training error stamped with the epoch."""
+    as a training error stamped with the epoch, also when the overflow
+    first shows in the epoch-end pass (one batch per epoch)."""
     ds = _toy_data()
     dr = DrFitConfig(alpha=0.5, lam=0.0, rho=(1.0, 1.0))
-    tr = TrainConfig(epochs=3, batch_size=16, theta_lr=1e307, solver="analytic")
+    tr = TrainConfig(epochs=3, batch_size=batch_size, theta_lr=1e307, solver="analytic")
     init = init_params([2, 4, 1], seed=13)
     with pytest.raises(TrainingError) as err, np.errstate(over="ignore", invalid="ignore"):
         train(ds, dr, tr, init)
@@ -210,6 +215,40 @@ def test_stratified_batches_partition_the_data():
     for b in batches:
         assert np.all(np.diff(b) > 0)
         assert abs(b.size - target) <= 2
+
+
+def _dealt_batches(part, batch_size, rng):
+    """Reference: the per-example dealing loop, one bucket list per batch."""
+    n_batches = max(1, math.ceil(part.n / batch_size))
+    buckets = [[] for _ in range(n_batches)]
+    for members in part.classes:
+        perm = rng.permutation(members)
+        offset = int(rng.integers(n_batches)) if n_batches > 1 else 0
+        for j, g in enumerate(perm):
+            buckets[(j + offset) % n_batches].append(int(g))
+    batches = [np.array(sorted(b), dtype=np.int64) for b in buckets if b]
+    order = rng.permutation(len(batches))
+    return [batches[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+    batch_size=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stratified_batches_match_the_dealing_loop(sizes, batch_size, seed):
+    """Same batches, in the same order, from the same random draws."""
+    labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(sizes)), sizes))
+    part = ClassPartition.from_labels(labels, n_classes=len(sizes))
+    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = _dealt_batches(part, batch_size, rng_ref)
+    got = _stratified_batches(part, batch_size, rng)
+    assert len(got) == len(expected)
+    for b, e in zip(got, expected):
+        assert b.dtype == np.int64
+        assert np.array_equal(b, e)
+    assert rng.integers(2**62) == rng_ref.integers(2**62)
 
 
 def test_evaluate_and_mean_loss():
