@@ -175,9 +175,23 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 
 def validate_config(cfg: dict) -> dict:
+    """Checks the kind and converts the numbers that the train, theory and
+    sweep runners read, so that a value of the wrong type is a ConfigError
+    before any directory is created."""
     if cfg.get("kind") not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.get('kind')!r}")
-    if int(cfg.get("replications", 1)) < 1:
+    _train_config(cfg)
+    t = cfg["theory"]
+    try:
+        replications = int(cfg["replications"])
+        [int(h) for h in cfg["data"]["hidden"]]
+        [float(v) for k in ("alpha_grid", "lam_grid") for v in cfg["sweep"][k]]
+        [float(t[k]) for k in ("q", "mean", "var", "alpha_lo", "alpha_hi", "alpha_step")]
+        int(t["nodes"])
+        [np.asarray(t[k], dtype=float) for k in ("mu", "cov", "box1", "box2")]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid setting: {exc}") from exc
+    if replications < 1:
         raise ConfigError("replications must be at least 1")
     return cfg
 
@@ -576,9 +590,7 @@ def counterexample_problem(q: float = 0.2, nodes: int = 64) -> theory.Population
     """Two-atom class 0 against a three-atom class 1 with a heavy far atom."""
     dist1 = theory.Discrete((-1.0, 1.0, 10.0), (0.1, 0.1, 0.8))
     dist0 = theory.Discrete((-1.0, 1.0), (0.5, 0.5))
-    return theory.PopulationProblem(
-        dist1, dist0=dist0, symmetric_negation=False, q=q, nodes=nodes
-    )
+    return theory.PopulationProblem(dist1, dist0=dist0, q=q, nodes=nodes)
 
 
 def _report_theory_counterexample(cfg: dict) -> list[dict]:

@@ -9,7 +9,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .train import TrainTrace
 
@@ -102,9 +101,12 @@ def detection_auc(omega, mask) -> float:
     correct, wrong = _split_groups(omega, mask)
     if correct.size == 0 or wrong.size == 0:
         raise UndefinedAucError("both label groups must be nonempty")
-    ranks = stats.rankdata(np.concatenate([correct, wrong]))
-    r_correct = ranks[: correct.size].sum()
-    u = r_correct - correct.size * (correct.size + 1) / 2.0
+    # per flipped weight: correct weights strictly above it, and ties; the
+    # counts are whole and half integers, so u equals the rank-sum statistic
+    c = np.sort(correct)
+    lo = np.searchsorted(c, wrong, "left")
+    hi = np.searchsorted(c, wrong, "right")
+    u = (c.size - hi).sum() + 0.5 * (hi - lo).sum()
     return float(u / (correct.size * wrong.size))
 
 

@@ -141,20 +141,14 @@ def negate(dist):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Node budget for numeric expectations.
-
-    kind "auto" picks Gauss-Hermite for Gaussians, Gauss-Legendre for
-    bounded intervals, exact summation for discrete atoms, and tensor
-    products of the 1-D rules in two dimensions.
+    """Node budget for numeric expectations: Gauss-Hermite for Gaussians,
+    Gauss-Legendre for bounded intervals, exact summation for discrete
+    atoms, and tensor products of the 1-D rules in two dimensions.
     """
 
-    kind: str = "auto"
     nodes: int = 64
 
     def __post_init__(self):
-        kinds = ("auto", "gauss-hermite", "gauss-legendre", "discrete-sum", "tensor-product")
-        if self.kind not in kinds:
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if self.nodes < 32:
             raise ValueError("continuous rules need at least 32 nodes")
 
@@ -174,11 +168,6 @@ def _legendre(n: int):
     return special.roots_legendre(n)
 
 
-def _check_kind(rule: QuadratureRule, allowed: str):
-    if rule.kind not in ("auto", allowed):
-        raise ValueError(f"rule kind {rule.kind!r} does not apply here")
-
-
 def nodes_weights(dist, rule: QuadratureRule = DEFAULT_RULE):
     """Quadrature nodes and weights such that E[f(X)] ~= sum w_i f(x_i).
 
@@ -186,19 +175,15 @@ def nodes_weights(dist, rule: QuadratureRule = DEFAULT_RULE):
     ones give an (m, 2) array. Discrete distributions are exact.
     """
     if isinstance(dist, Discrete):
-        _check_kind(rule, "discrete-sum")
         return np.asarray(dist.values, dtype=float), np.asarray(dist.probs, dtype=float)
     if isinstance(dist, Uniform):
-        _check_kind(rule, "gauss-legendre")
         t, w = _legendre(rule.nodes)
         mid, half = 0.5 * (dist.lo + dist.hi), 0.5 * (dist.hi - dist.lo)
         return mid + half * t, 0.5 * w
     if isinstance(dist, Gaussian):
-        _check_kind(rule, "gauss-hermite")
         t, w = _hermite(rule.nodes)
         return dist.mean + math.sqrt(2.0 * dist.var) * t, w / math.sqrt(math.pi)
     if isinstance(dist, MvGaussian):
-        _check_kind(rule, "tensor-product")
         if dist.dim != 2:
             raise ValueError("tensor-product quadrature is limited to two dimensions")
         t, w = _hermite(rule.nodes)
@@ -209,7 +194,6 @@ def nodes_weights(dist, rule: QuadratureRule = DEFAULT_RULE):
         wts = np.outer(w, w).ravel() / math.pi
         return pts, wts
     if isinstance(dist, MvUniformBox):
-        _check_kind(rule, "tensor-product")
         if dist.dim != 2:
             raise ValueError("tensor-product quadrature is limited to two dimensions")
         t, w = _legendre(rule.nodes)
@@ -260,25 +244,19 @@ def weight_kernel(t, b):
 class PopulationProblem:
     """Clean class distributions plus a label-flip model.
 
-    dist1 is the clean class-1 covariate distribution. dist0 defaults to
-    the negation of dist1 (symmetric_negation); pass it explicitly for
-    asymmetric constructions. q is the flip probability, either one
-    number for both classes or a (q_1, q_0) pair. p_star_1 is the clean
-    prior of class 1.
+    dist1 is the clean class-1 covariate distribution. dist0=None means
+    the negation of dist1; pass it explicitly for asymmetric constructions.
+    q is the flip probability, either one number for both classes or a
+    (q_1, q_0) pair. p_star_1 is the clean prior of class 1.
     """
 
     dist1: object
     dist0: object | None = None
-    symmetric_negation: bool = True
     p_star_1: float = 0.5
     q: float | tuple[float, float] = 0.0
     nodes: int = 64
 
     def __post_init__(self):
-        if self.dist0 is not None and self.symmetric_negation:
-            raise ValueError("explicit dist0 contradicts symmetric_negation")
-        if self.dist0 is None and not self.symmetric_negation:
-            raise ValueError("dist0 required when symmetric_negation is off")
         if not 0 < self.p_star_1 < 1:
             raise ValueError("p_star_1 must lie strictly between 0 and 1")
         q1, q0 = self.rates
@@ -322,9 +300,7 @@ class PopulationProblem:
         return QuadratureRule(nodes=self.nodes)
 
     def with_q(self, q) -> "PopulationProblem":
-        return PopulationProblem(
-            self.dist1, self.dist0, self.symmetric_negation, self.p_star_1, q, self.nodes
-        )
+        return PopulationProblem(self.dist1, self.dist0, self.p_star_1, q, self.nodes)
 
 
 def _mixture_expect(components, f, rule) -> float:
@@ -334,7 +310,7 @@ def _mixture_expect(components, f, rule) -> float:
 # ---------------------------------------------------------------------------
 # one-dimensional estimators
 
-def _root_by_bisection(f, lo, hi, f_lo, tol=1e-10):
+def _root_by_bisection(f, lo, hi, tol=1e-10):
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
@@ -351,12 +327,12 @@ def _positive_root(score, what: str) -> float:
     f_lo = score(lo)
     if f_lo <= 0:
         # root sits below the expansion start; the score is positive at 0+
-        return _root_by_bisection(score, 0.0, lo, None)
+        return _root_by_bisection(score, 0.0, lo)
     hi = lo
     while hi < _BRACKET_CAP:
         hi *= 2.0
         if score(hi) <= 0:
-            return _root_by_bisection(score, hi / 2.0, hi, f_lo)
+            return _root_by_bisection(score, hi / 2.0, hi)
     raise DivergenceError(f"{what}: score has no sign change below {_BRACKET_CAP:g}")
 
 
@@ -560,50 +536,40 @@ def w_identity_residual(mu, cov, nodes: int = 64) -> float:
 # ---------------------------------------------------------------------------
 # general multivariate estimator (r = 2)
 
-def _mv_points(prob: PopulationProblem):
+def _mv_neg_objective(prob: PopulationProblem, b: float):
+    """Returns f(s) = -O_b(s) and its gradient, for scipy minimisation.
+    Each clean component enters both label mixtures, at its label_mixture
+    weight m1 for label 1 and m0 for label 0."""
     d1 = prob.dist1
     if not isinstance(d1, (MvGaussian, MvUniformBox)):
         raise TypeError("multivariate estimation needs a 2-D covariate distribution")
     if d1.dim != 2:
         raise ValueError("only r = 2 is supported")
-    pts1, wts1 = nodes_weights(d1, prob.rule)
-    pts0, wts0 = nodes_weights(prob.clean0, prob.rule)
-    return pts1, wts1, pts0, wts0
-
-
-def _mv_neg_objective(prob: PopulationProblem, b: float):
-    """Returns f(s) = -O_b(s) and its gradient, for scipy minimisation."""
-    pts1, wts1, pts0, wts0 = _mv_points(prob)
-    q1, q0 = prob.rates
-    p1s, p0s = prob.p_star_1, 1.0 - prob.p_star_1
     p1, p0 = prob.label_priors
-    m11, m10 = p1s * (1 - q1) / p1, p0s * q0 / p1
-    m01, m00 = p1s * q1 / p0, p0s * (1 - q0) / p0
+    comps = [(*nodes_weights(d, prob.rule), m1, m0)
+             for (d, m1), (_, m0) in zip(prob.label_mixture(1), prob.label_mixture(0))]
 
     def fg(s):
-        t1 = pts1 @ s
-        t0 = pts0 @ s
+        e1 = e0 = g1 = g0 = 0.0
+        for pts, wts, m1, m0 in comps:
+            t = pts @ s
+            if b == 0.0:
+                e1 += m1 * (wts @ log_sigma2(t))
+                e0 += m0 * (wts @ log_sigma2(-t))
+                # d/dt log sigma2(t) = 2 sigma2(-t)
+                g1 += m1 * (wts * np.exp(log_sigma2(-t))) @ pts
+                g0 += m0 * (wts * np.exp(log_sigma2(t))) @ pts
+            else:
+                w1 = np.exp(b * log_sigma2(t))
+                w0 = np.exp(b * log_sigma2(-t))
+                e1 += m1 * (wts @ w1)
+                e0 += m0 * (wts @ w0)
+                g1 += m1 * (wts * w1 * np.exp(log_sigma2(-t))) @ pts
+                g0 += m0 * (wts * w0 * np.exp(log_sigma2(t))) @ pts
         if b == 0.0:
-            e1 = m11 * (wts1 @ log_sigma2(t1)) + m10 * (wts0 @ log_sigma2(t0))
-            e0 = m01 * (wts1 @ log_sigma2(-t1)) + m00 * (wts0 @ log_sigma2(-t0))
-            # d/dt log sigma2(t) = 2 sigma2(-t)
-            g1 = 2.0 * (m11 * (wts1 * np.exp(log_sigma2(-t1))) @ pts1
-                        + m10 * (wts0 * np.exp(log_sigma2(-t0))) @ pts0)
-            g0 = -2.0 * (m01 * (wts1 * np.exp(log_sigma2(t1))) @ pts1
-                         + m00 * (wts0 * np.exp(log_sigma2(t0))) @ pts0)
-            return -(p1 * e1 + p0 * e0), -(p1 * g1 + p0 * g0)
-        w1p = np.exp(b * log_sigma2(t1))
-        w0p = np.exp(b * log_sigma2(t0))
-        w1n = np.exp(b * log_sigma2(-t1))
-        w0n = np.exp(b * log_sigma2(-t0))
-        e1 = m11 * (wts1 @ w1p) + m10 * (wts0 @ w0p)
-        e0 = m01 * (wts1 @ w1n) + m00 * (wts0 @ w0n)
-        de1 = 2.0 * b * (m11 * (wts1 * w1p * np.exp(log_sigma2(-t1))) @ pts1
-                         + m10 * (wts0 * w0p * np.exp(log_sigma2(-t0))) @ pts0)
-        de0 = -2.0 * b * (m01 * (wts1 * w1n * np.exp(log_sigma2(t1))) @ pts1
-                          + m00 * (wts0 * w0n * np.exp(log_sigma2(t0))) @ pts0)
+            return -(p1 * e1 + p0 * e0), -(p1 * (2.0 * g1) + p0 * (-2.0 * g0))
         val = p1 * math.log(e1) + p0 * math.log(e0)
-        grad = p1 * de1 / e1 + p0 * de0 / e0
+        grad = p1 * (2.0 * b * g1) / e1 + p0 * (-2.0 * b * g0) / e0
         return -val, -grad
 
     return fg

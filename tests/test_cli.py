@@ -133,6 +133,16 @@ def test_bad_value_type_exits_2_before_any_artifact(tmp_path):
         out = tmp_path / f"out{k}"
         assert main(["train", "--output-dir", str(out), "--set", bad]) == 2, bad
         assert not out.exists(), bad
+    for k, argv in enumerate(
+        [["train", "--set", 'data.hidden=["x"]', "--set", "train.epochs=1"],
+         ["train", "--set", "replications=abc"],
+         ["theory", "--kind", "theory-1d", "--set", "theory.nodes=abc"],
+         ["theory", "--kind", "theory-1d", "--set", "theory.q=abc"],
+         ["sweep", "--set", "train.epochs=abc"]]
+    ):
+        out = tmp_path / f"late{k}"
+        assert main([*argv, "--output-dir", str(out)]) == 2, argv
+        assert not out.exists(), argv
 
 
 # ---------------------------------------------------------------------------

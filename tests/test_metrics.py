@@ -48,6 +48,35 @@ def test_auc_matches_pairwise_count(seed):
     )
 
 
+def _rank_sum_auc(omega, mask):
+    """The Mann-Whitney rank-sum formula with average ranks for ties."""
+    from scipy import stats
+
+    correct, wrong = omega[~mask], omega[mask]
+    ranks = stats.rankdata(np.concatenate([correct, wrong]))
+    u = ranks[: correct.size].sum() - correct.size * (correct.size + 1) / 2.0
+    return float(u / (correct.size * wrong.size))
+
+
+def test_auc_equals_rank_sum_formula_exactly():
+    cases = []
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 120))
+        omega = rng.uniform(0.0, 2.0, size=n)
+        if seed % 2:
+            omega = np.round(omega, 1)
+        mask = rng.random(n) < 0.3
+        mask[0], mask[1] = True, False
+        cases.append((omega, mask))
+    signed_zeros = np.array([0.0, -0.0, 0.0, 0.5, -0.0, -0.0, 0.25, 0.0, 0.5, -0.0])
+    cases.append((signed_zeros, np.arange(10) % 3 == 0))
+    cases.append((np.full(9, 0.7), np.arange(9) < 4))
+    for omega, mask in cases:
+        assert detection_auc(omega, mask) == _rank_sum_auc(omega, mask)
+    assert detection_auc(*cases[-1]) == 0.5
+
+
 def test_auc_hand_values():
     omega = np.array([0.1, 0.9, 0.8])
     mask = np.array([True, False, False])
