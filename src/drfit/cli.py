@@ -175,16 +175,20 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 
 def validate_config(cfg: dict) -> dict:
-    """Checks the kind and converts the numbers that the train, theory and
-    sweep runners read, so that a value of the wrong type is a ConfigError
-    before any directory is created."""
+    """Checks the kind and converts the numbers that the train, data, noise,
+    theory and sweep runners read, so that a value of the wrong type is a
+    ConfigError before any directory is created."""
     if cfg.get("kind") not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.get('kind')!r}")
     _train_config(cfg)
-    t = cfg["theory"]
+    d, t = cfg["data"], cfg["theory"]
     try:
         replications = int(cfg["replications"])
-        [int(h) for h in cfg["data"]["hidden"]]
+        [int(h) for h in d["hidden"]]
+        int(d["n"]), int(d["subsample"]), float(d["val_fraction"])
+        [np.asarray(d[k], dtype=float) for k in ("mu", "cov")]
+        [float(q) for q in cfg["noise"]["rates"]]
+        int(cfg["noise"]["seed"])
         [float(v) for k in ("alpha_grid", "lam_grid") for v in cfg["sweep"][k]]
         [float(t[k]) for k in ("q", "mean", "var", "alpha_lo", "alpha_hi", "alpha_step")]
         int(t["nodes"])
@@ -736,6 +740,7 @@ def run_detect(run_dir: str, snapshot: str, bins: int = 50) -> dict:
 
 
 def run_mnist_prep(cfg: dict, out_path: str) -> None:
+    cfg = validate_config(cfg)
     noisy = _noisy_mnist_train(cfg, data_root(cfg))
     save_dataset_csv(noisy, out_path)
     flips = int(noisy.mislabel_mask.sum())

@@ -423,7 +423,9 @@ def weighted_estimator_1d(prob: PopulationProblem, b: float) -> float:
                            np.geomspace(30.0, _BRACKET_CAP, 200)])
     vals = weighted_objective_1d(prob, b, grid)
     k = int(np.argmax(vals))
-    if k >= len(grid) - 2:
+    # a maximum the grid reaches at its last point, ties included, is the
+    # s -> infinity limit: the profile can settle onto it to the last bit
+    if k >= len(grid) - 2 or vals[-1] >= vals.max():
         return DIVERGENT
     lo, hi = grid[max(k - 1, 0)], grid[k + 1]
     return _golden_max(lambda s: float(weighted_objective_1d(prob, b, s)), lo, hi)[0]
@@ -552,20 +554,26 @@ def _mv_neg_objective(prob: PopulationProblem, b: float):
     def fg(s):
         e1 = e0 = g1 = g0 = 0.0
         for pts, wts, m1, m0 in comps:
-            t = pts @ s
+            # log_sigma2(+-t) = -softplus(-+u) with u = 2t; both share the
+            # tail log1p(exp(-|u|)), bit for bit, since |-u| == |u|
+            u = 2.0 * (pts @ s)
+            tail = np.log1p(np.exp(-np.abs(u)))
+            lp = -(np.maximum(-u, 0.0) + tail)
+            ln = -(np.maximum(u, 0.0) + tail)
+            sp, sn = np.exp(lp), np.exp(ln)
             if b == 0.0:
-                e1 += m1 * (wts @ log_sigma2(t))
-                e0 += m0 * (wts @ log_sigma2(-t))
+                e1 += m1 * (wts @ lp)
+                e0 += m0 * (wts @ ln)
                 # d/dt log sigma2(t) = 2 sigma2(-t)
-                g1 += m1 * (wts * np.exp(log_sigma2(-t))) @ pts
-                g0 += m0 * (wts * np.exp(log_sigma2(t))) @ pts
+                g1 += m1 * (wts * sn) @ pts
+                g0 += m0 * (wts * sp) @ pts
             else:
-                w1 = np.exp(b * log_sigma2(t))
-                w0 = np.exp(b * log_sigma2(-t))
+                w1 = np.exp(b * lp)
+                w0 = np.exp(b * ln)
                 e1 += m1 * (wts @ w1)
                 e0 += m0 * (wts @ w0)
-                g1 += m1 * (wts * w1 * np.exp(log_sigma2(-t))) @ pts
-                g0 += m0 * (wts * w0 * np.exp(log_sigma2(t))) @ pts
+                g1 += m1 * (wts * w1 * sn) @ pts
+                g0 += m0 * (wts * w0 * sp) @ pts
         if b == 0.0:
             return -(p1 * e1 + p0 * e0), -(p1 * (2.0 * g1) + p0 * (-2.0 * g0))
         val = p1 * math.log(e1) + p0 * math.log(e0)
@@ -696,8 +704,11 @@ def discontinuity_scan(
             peaks.append((float(s_ref), float(v_ref)))
         # Still rising at the edge of the grid means a divergent branch,
         # but the far tail of a settled profile is flat to machine noise,
-        # so demand a rise that clears the quadrature noise floor.
-        if vals[-1] > vals[-2] and vals[-1] - np.min(vals[-32:]) > 1e-9:
+        # so demand a rise that clears the quadrature noise floor. A
+        # maximum reached at the last point, ties included, is divergent
+        # too: the profile can equal its s -> infinity limit to the bit.
+        if vals[-1] >= vals.max() or (
+                vals[-1] > vals[-2] and vals[-1] - np.min(vals[-32:]) > 1e-9):
             peaks.append((math.inf, float(vals[-1])))
         if not peaks:
             k = int(np.argmax(vals))

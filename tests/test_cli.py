@@ -138,11 +138,18 @@ def test_bad_value_type_exits_2_before_any_artifact(tmp_path):
          ["train", "--set", "replications=abc"],
          ["theory", "--kind", "theory-1d", "--set", "theory.nodes=abc"],
          ["theory", "--kind", "theory-1d", "--set", "theory.q=abc"],
-         ["sweep", "--set", "train.epochs=abc"]]
+         ["sweep", "--set", "train.epochs=abc"],
+         *(["train", "--set", bad, "--set", "train.epochs=1"]
+           for bad in ["data.n=abc", "data.val_fraction=abc", 'data.mu=[1,"a"]',
+                       'data.cov=[[1,0],[0,"a"]]', "data.subsample=abc",
+                       "noise.seed=abc", 'noise.rates=["x"]'])]
     ):
         out = tmp_path / f"late{k}"
         assert main([*argv, "--output-dir", str(out)]) == 2, argv
         assert not out.exists(), argv
+    snap = tmp_path / "prep.csv"
+    assert main(["mnist-prep", "--out", str(snap), "--set", "noise.seed=abc"]) == 2
+    assert not snap.exists()
 
 
 # ---------------------------------------------------------------------------

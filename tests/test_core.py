@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drfit.core import (
     ClassPartition,
     ConfigError,
     DrFitConfig,
     analytic_weights,
+    closed_form_weights,
     entropy_penalty,
     full_objective,
     objective_constant,
@@ -204,3 +207,49 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         cfg.rho_for(3)
     assert np.allclose(DrFitConfig(alpha=1.0, lam=0.0, rho=None).rho_for(2), 1.0)
+
+
+@st.composite
+def _weight_problem(draw):
+    """Losses, labels in [0, k) (a class may be absent) and positive rho."""
+    losses = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=30)))
+    k = draw(st.integers(1, 3))
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=losses.size,
+                                    max_size=losses.size)))
+    rho = np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k)))
+    return losses, labels, rho
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_weight_problem(), alpha=st.floats(0.1, 10.0))
+def test_closed_form_weights_meet_every_budget(problem, alpha):
+    losses, labels, rho = problem
+    w = closed_form_weights(losses, labels, rho, alpha)
+    for c in np.unique(labels):
+        sel = labels == c
+        assert math.isclose(w[sel].sum(), rho[c] * sel.sum(), rel_tol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_weight_problem(), alpha=st.floats(0.1, 10.0),
+       shift=st.floats(-5.0, 5.0), pick=st.integers(0, 2))
+def test_closed_form_weights_ignore_a_per_class_loss_shift(problem, alpha, shift, pick):
+    losses, labels, rho = problem
+    c = labels[pick % labels.size]
+    shifted = np.where(labels == c, losses + shift, losses)
+    np.testing.assert_allclose(
+        closed_form_weights(shifted, labels, rho, alpha),
+        closed_form_weights(losses, labels, rho, alpha),
+        rtol=1e-12, atol=0,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_weight_problem(), data=st.data())
+def test_scale_to_budgets_is_idempotent(problem, data):
+    _, labels, rho = problem
+    omega = np.array(data.draw(st.lists(st.floats(0.01, 10.0), min_size=labels.size,
+                                        max_size=labels.size)))
+    once = scale_to_budgets(omega.copy(), labels, rho)
+    twice = scale_to_budgets(once.copy(), labels, rho)
+    np.testing.assert_allclose(twice, once, rtol=1e-12, atol=0)

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drfit import theory
 from drfit.cli import counterexample_problem
@@ -368,10 +370,9 @@ def test_box_problems_regression_values():
 def test_counterexample_landscape_regression_values():
     """Pin the criterion-07 landscape of the report's construction: one
     maximum at every alpha of the report grid, whose argmax falls
-    smoothly, and the only jump near alpha 0.975. At alpha 0.95 and 1.0
-    the profile rises to its s -> infinity limit and equals it to the
-    last bit from s = 18.2 and s = 1.82 on; the scan reports those points
-    as the argmax."""
+    smoothly. At alpha 0.95 and 1.0 the profile rises to its s -> infinity
+    limit and equals it to the last bit from s = 18.2 and s = 1.82 on, so
+    both are divergent; the only jump is to a finite argmax at alpha 1.01."""
     prob = counterexample_problem()
     scan = discontinuity_scan(prob, np.arange(1.54, 1.69 + 0.005, 0.01))
     assert len(scan.entries) == 16
@@ -382,9 +383,16 @@ def test_counterexample_landscape_regression_values():
     assert argmaxes[0] == pytest.approx(0.1318, abs=1e-4)
     assert argmaxes[-1] == pytest.approx(0.1200, abs=1e-4)
     edge = discontinuity_scan(prob, [0.95, 1.0])
-    assert edge.jump_alpha == pytest.approx(0.975)
-    assert edge.entries[0].argmax == pytest.approx(18.2, abs=0.05)
-    assert edge.entries[1].argmax == pytest.approx(1.82, abs=0.005)
+    assert edge.jump_alpha is None
+    assert math.isinf(edge.entries[0].argmax)
+    assert math.isinf(edge.entries[1].argmax)
+    assert discontinuity_scan(prob, [1.0, 1.01]).jump_alpha == pytest.approx(1.005)
+
+
+def test_weighted_estimator_is_divergent_on_a_settled_plateau():
+    """The general-case grid search must not report the first point of a
+    profile that equals its s -> infinity limit to the bit as a maximiser."""
+    assert weighted_estimator_1d(counterexample_problem(), 1.0 / 0.95) == DIVERGENT
 
 
 def _hand_mv_neg_objective(prob, b):
@@ -455,6 +463,29 @@ def test_mv_objective_equals_hand_derived_weights(prob):
             (val, grad), (ref_val, ref_grad) = fg(s), ref(s)
             assert val == ref_val, (b, s)
             assert np.array_equal(grad, ref_grad), (b, s)
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [
+        PopulationProblem(MvGaussian((1.0, 1.0), _MV_COV), q=0.2),
+        PopulationProblem(MvUniformBox([[-1.0, 3.0], [-2.0, 4.0]]), q=0.2),
+    ],
+    ids=["gaussian", "box1"],
+)
+@settings(max_examples=150, deadline=None)
+@given(
+    b=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+    s=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+)
+def test_mv_objective_is_bit_identical_far_out(prob, b, s):
+    """Out to |s| = 40, where exp(-|2t|) underflows at the outer Gaussian
+    nodes, the shared log-sigmoid tail still gives the plain formula's bits."""
+    fg, ref = theory._mv_neg_objective(prob, b), _hand_mv_neg_objective(prob, b)
+    s = np.asarray(s)
+    (val, grad), (ref_val, ref_grad) = fg(s), ref(s)
+    assert val == ref_val
+    assert np.array_equal(grad, ref_grad)
 
 
 # ---------------------------------------------------------------------------
