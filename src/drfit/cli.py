@@ -174,29 +174,63 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
+def _typed(value, default, key: str = ""):
+    """value converted to the type of its default: an object key by key, a
+    list item by item after the default's first item, a number by the
+    default's type (finite, and whole for an int key); str and None
+    defaults let the value through."""
+    kind = type(default)
+    if kind in (dict, list) and not isinstance(value, kind):
+        raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}")
+    if kind is dict:
+        return {k: _typed(v, default.get(k), f"{key}.{k}".lstrip(".")) for k, v in value.items()}
+    if kind is list:
+        return [_typed(v, default[0], key) for v in value]
+    if kind not in (int, float):
+        return value
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not math.isfinite(number) or isinstance(value, float) and number != value:
+        raise ConfigError(f"{key} must be a finite {kind.__name__}, got {value!r}")
+    return number
+
+
 def validate_config(cfg: dict) -> dict:
-    """Checks the kind and converts the numbers that the train, data, noise,
-    theory and sweep runners read, so that a value of the wrong type is a
+    """The config with every value converted to the type of its default,
+    after range checks on what the runners read, so that a bad value is a
     ConfigError before any directory is created."""
     if cfg.get("kind") not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.get('kind')!r}")
-    _train_config(cfg)
-    d, t = cfg["data"], cfg["theory"]
+    cfg = _typed(cfg, _DEFAULTS)
+    d, rates, rho, sweep = cfg["data"], cfg["noise"]["rates"], cfg["drfit"]["rho"], cfg["sweep"]
     try:
-        replications = int(cfg["replications"])
-        [int(h) for h in d["hidden"]]
-        int(d["n"]), int(d["subsample"]), float(d["val_fraction"])
-        [np.asarray(d[k], dtype=float) for k in ("mu", "cov")]
-        [float(q) for q in cfg["noise"]["rates"]]
-        int(cfg["noise"]["seed"])
-        [float(v) for k in ("alpha_grid", "lam_grid") for v in cfg["sweep"][k]]
-        [float(t[k]) for k in ("q", "mean", "var", "alpha_lo", "alpha_hi", "alpha_step")]
-        int(t["nodes"])
-        [np.asarray(t[k], dtype=float) for k in ("mu", "cov", "box1", "box2")]
+        TrainConfig(**cfg["train"])
+        DrFitConfig(cfg["drfit"]["alpha"], cfg["drfit"]["lam"], rho if isinstance(rho, list) else None)
+        [DrFitConfig(a, lam) for a in sweep["alpha_grid"] for lam in sweep["lam_grid"]]
+        _noise_spec(cfg)
+        mu, cov = np.asarray(d["mu"]), np.asarray(d["cov"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid setting: {exc}") from exc
-    if replications < 1:
-        raise ConfigError("replications must be at least 1")
+    for ok, message in (
+        (cfg["replications"] >= 1, "replications must be at least 1"),
+        (len(rates) == 2, "noise.rates needs one rate per class, 2 in all"),
+        (rho in ("auto", None) or isinstance(rho, list) and len(rho) == len(rates),
+         "drfit.rho must be 'auto', null or one positive number per noise rate"),
+        (0 < d["val_fraction"] < 1, "data.val_fraction must lie in (0, 1)"),
+        (d["n"] > 0 and d["n"] % 2 == 0, "data.n must be a positive even number"),
+        (cov.shape == (mu.size, mu.size), "data.cov must be square, one row per entry of data.mu"),
+        (all(h >= 1 for h in d["hidden"]), "data.hidden widths must be at least 1"),
+        (sweep["train_kind"] in ("mnist-1v7", "synthetic-train"),
+         "sweep.train_kind must be mnist-1v7 or synthetic-train"),
+    ):
+        if not ok:
+            raise ConfigError(message)
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ConfigError("data.cov must be positive definite") from None
     return cfg
 
 
@@ -208,46 +242,17 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _drfit_config(cfg: dict, ds: LabeledDataset | None) -> DrFitConfig:
+def _drfit_config(cfg: dict, ds: LabeledDataset) -> DrFitConfig:
     section = cfg["drfit"]
     rho = section["rho"]
     if rho == "auto":
-        if ds is None:
-            raise ConfigError("rho 'auto' needs a dataset with known noise rates")
         rates = cfg["noise"]["rates"]
         sizes = np.bincount(
             ds.true_labels if ds.true_labels is not None else ds.labels,
             minlength=len(rates),
         )
-        rho = tuple(float(v) for v in estimate_rho(sizes, rates))
-    elif rho is None:
-        rho = None
-    else:
-        rho = tuple(float(v) for v in rho)
-    return DrFitConfig(alpha=float(section["alpha"]), lam=float(section["lam"]), rho=rho)
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    """The train section as a TrainConfig. alpha and lam are converted too,
-    so that a value of the wrong type fails as a ConfigError before any
-    artifact is written."""
-    t = cfg["train"]
-    try:
-        DrFitConfig(alpha=float(cfg["drfit"]["alpha"]), lam=float(cfg["drfit"]["lam"]))
-        return TrainConfig(
-            epochs=int(t["epochs"]),
-            batch_size=int(t["batch_size"]),
-            theta_lr=float(t["theta_lr"]),
-            omega_lr=float(t["omega_lr"]),
-            burn_in=int(t["burn_in"]),
-            update_frequency=int(t["update_frequency"]),
-            seed=int(t["seed"]),
-            solver=t["solver"],
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid training setting: {exc}") from exc
+        rho = estimate_rho(sizes, rates)
+    return DrFitConfig(alpha=section["alpha"], lam=section["lam"], rho=rho)
 
 
 def data_root(cfg: dict) -> Path:
@@ -270,59 +275,52 @@ def _subsample(ds: LabeledDataset, n: int, seed: int) -> LabeledDataset:
     return part
 
 
-def _noisy_mnist_train(cfg: dict, root: Path) -> LabeledDataset:
+def _noise_spec(cfg: dict) -> NoiseSpec:
+    return NoiseSpec(tuple(cfg["noise"]["rates"]), cfg["noise"]["seed"])
+
+
+def _noisy_mnist_train(cfg: dict, root: Path, noise: NoiseSpec) -> LabeledDataset:
     """The MNIST training files, filtered to 1-vs-7, subsampled, and
-    relabelled by the configured noise."""
+    relabelled by the given noise."""
     imgs, labs = load_mnist_idx(root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte")
-    noise = cfg["noise"]
-    ones_sevens = prepare_ones_vs_sevens(imgs, labs)
-    clean = _subsample(ones_sevens, int(cfg["data"]["subsample"]), noise["seed"])
-    return inject_label_noise(clean, NoiseSpec(tuple(noise["rates"]), noise["seed"]))
+    clean = _subsample(prepare_ones_vs_sevens(imgs, labs), cfg["data"]["subsample"], noise.seed)
+    return inject_label_noise(clean, noise)
 
 
-def build_mnist_datasets(cfg: dict):
-    """Noisy train/val (carved after noise injection) plus the clean test set."""
+def _mnist_sets(cfg: dict, noise: NoiseSpec):
+    """The noisy training set (a snapshot or the MNIST files) and the clean
+    test set."""
     d = cfg["data"]
     if d["snapshot"]:
         noisy = load_dataset_csv(d["snapshot"])
         if noisy.true_labels is None:
             raise DataError("snapshot lacks true labels; run mnist-prep first")
-        test = None
-        if d["test_snapshot"]:
-            test = load_dataset_csv(d["test_snapshot"])
-    else:
-        root = data_root(cfg)
-        noisy = _noisy_mnist_train(cfg, root)
-        timgs, tlabs = load_mnist_idx(
-            root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte"
-        )
-        test = prepare_ones_vs_sevens(timgs, tlabs)
-    vf = float(d["val_fraction"])
-    train_ds, val_ds = stratified_split(noisy, [1.0 - vf, vf], seed=cfg["noise"]["seed"] + 1)
-    return train_ds, val_ds, test
+        return noisy, load_dataset_csv(d["test_snapshot"]) if d["test_snapshot"] else None
+    root = data_root(cfg)
+    noisy = _noisy_mnist_train(cfg, root, noise)
+    timgs, tlabs = load_mnist_idx(root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte")
+    return noisy, prepare_ones_vs_sevens(timgs, tlabs)
 
 
-def build_synthetic_datasets(cfg: dict):
+def _synthetic_sets(cfg: dict, noise: NoiseSpec):
     d = cfg["data"]
-    mu = np.asarray(d["mu"], dtype=float)
-    cov = np.asarray(d["cov"], dtype=float)
-    n = int(d["n"])
-    clean = synthetic_gaussian_2class(n, mu, cov, seed=cfg["noise"]["seed"])
-    noisy = inject_label_noise(
-        clean, NoiseSpec(tuple(cfg["noise"]["rates"]), cfg["noise"]["seed"])
-    )
-    test = synthetic_gaussian_2class(n, mu, cov, seed=cfg["noise"]["seed"] + 1000)
-    vf = float(d["val_fraction"])
-    train_ds, val_ds = stratified_split(noisy, [1.0 - vf, vf], seed=cfg["noise"]["seed"] + 1)
-    return train_ds, val_ds, test
+    clean = synthetic_gaussian_2class(d["n"], d["mu"], d["cov"], seed=noise.seed)
+    test = synthetic_gaussian_2class(d["n"], d["mu"], d["cov"], seed=noise.seed + 1000)
+    return inject_label_noise(clean, noise), test
 
 
 def build_datasets(cfg: dict):
+    """Noisy train/val (carved after noise injection) plus the clean test set."""
+    noise = _noise_spec(cfg)
     if cfg["kind"] == "mnist-1v7":
-        return build_mnist_datasets(cfg)
-    if cfg["kind"] == "synthetic-train":
-        return build_synthetic_datasets(cfg)
-    raise ConfigError(f"kind {cfg['kind']} does not define datasets")
+        noisy, test = _mnist_sets(cfg, noise)
+    elif cfg["kind"] == "synthetic-train":
+        noisy, test = _synthetic_sets(cfg, noise)
+    else:
+        raise ConfigError(f"kind {cfg['kind']} does not define datasets")
+    vf = cfg["data"]["val_fraction"]
+    train_ds, val_ds = stratified_split(noisy, [1.0 - vf, vf], seed=noise.seed + 1)
+    return train_ds, val_ds, test
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +360,7 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
     """Replication-many seeded runs plus aggregate CSVs. Returns the
     summary dictionary (also written to summary.json)."""
     cfg = validate_config(cfg)
-    base = _train_config(cfg)
+    base = TrainConfig(**cfg["train"])
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     digest = config_digest(cfg)
@@ -373,11 +371,10 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
     if train_ds.mislabel_mask is not None:
         save_dataset_csv(train_ds, out / "train_snapshot.csv")
     dr = _drfit_config(cfg, train_ds)
-    layer_sizes = [train_ds.n_features, *map(int, cfg["data"]["hidden"]), 1]
-    n_rep = int(cfg["replications"])
+    layer_sizes = [train_ds.n_features, *cfg["data"]["hidden"], 1]
 
     runs, omegas, failures = [], [], []
-    for r in range(n_rep):
+    for r in range(cfg["replications"]):
         seed = base.seed + r
         tr = dataclasses.replace(base, seed=seed)
         run_dir = out / f"{digest}-seed{seed}"
@@ -431,7 +428,7 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
 
 
 def _aggregate_training(cfg, out: Path, train_ds, runs, omegas, failures) -> dict:
-    n_epochs = int(cfg["train"]["epochs"])
+    n_epochs = cfg["train"]["epochs"]
     with open(out / "accuracy_by_epoch.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "mean_train_loss", "mean_train_acc", "mean_val_acc", "mean_test_acc"])
@@ -503,8 +500,7 @@ def _entry(key, value, target=None, tol=None, passed=None):
 def _report_theory_1d(cfg: dict) -> list[dict]:
     t = cfg["theory"]
     prob = theory.PopulationProblem(
-        theory.Gaussian(float(t["mean"]), float(t["var"])), q=float(t["q"]),
-        nodes=int(t["nodes"]),
+        theory.Gaussian(t["mean"], t["var"]), q=t["q"], nodes=t["nodes"]
     )
     entries = []
     s_star = theory.clean_estimator_1d(prob)
@@ -537,10 +533,8 @@ def _report_theory_1d(cfg: dict) -> list[dict]:
 
 def _report_theory_mv(cfg: dict) -> list[dict]:
     t = cfg["theory"]
-    q = float(t["q"])
-    nodes = int(t["nodes"])
-    mu = np.asarray(t["mu"], dtype=float)
-    cov = np.asarray(t["cov"], dtype=float)
+    q, nodes = t["q"], t["nodes"]
+    mu, cov = np.asarray(t["mu"]), np.asarray(t["cov"])
     entries = []
 
     try:
@@ -599,9 +593,9 @@ def counterexample_problem(q: float = 0.2, nodes: int = 64) -> theory.Population
 
 def _report_theory_counterexample(cfg: dict) -> list[dict]:
     t = cfg["theory"]
-    lo, hi, step = float(t["alpha_lo"]), float(t["alpha_hi"]), float(t["alpha_step"])
+    lo, hi, step = t["alpha_lo"], t["alpha_hi"], t["alpha_step"]
     alphas = np.arange(lo, hi + step / 2, step)
-    prob = counterexample_problem(q=float(t["q"]), nodes=int(t["nodes"]))
+    prob = counterexample_problem(q=t["q"], nodes=t["nodes"])
     report = theory.discontinuity_scan(prob, alphas)
     entries = [
         _entry("alpha_grid", f"[{lo}, {hi}] step {step}"),
@@ -673,14 +667,14 @@ def run_sweep(cfg: dict) -> dict:
         for lam in lams:
             sub = copy.deepcopy(cfg)
             sub["kind"] = base_kind
-            sub["drfit"]["alpha"] = float(alpha)
-            sub["drfit"]["lam"] = float(lam)
+            sub["drfit"]["alpha"] = alpha
+            sub["drfit"]["lam"] = lam
             sub["output_dir"] = str(out / f"alpha{alpha}-lam{lam}")
             summary = run_training_experiment(sub, quiet=True)
             all_crashed = summary["runs"] > 0 and summary["crashes"] == summary["runs"]
             row = {
-                "alpha": float(alpha),
-                "lam": float(lam),
+                "alpha": alpha,
+                "lam": lam,
                 "mean_val_acc": summary["mean_final_val_acc"],
                 "crashes": summary["crashes"],
                 "runs": summary["runs"],
@@ -741,7 +735,7 @@ def run_detect(run_dir: str, snapshot: str, bins: int = 50) -> dict:
 
 def run_mnist_prep(cfg: dict, out_path: str) -> None:
     cfg = validate_config(cfg)
-    noisy = _noisy_mnist_train(cfg, data_root(cfg))
+    noisy = _noisy_mnist_train(cfg, data_root(cfg), _noise_spec(cfg))
     save_dataset_csv(noisy, out_path)
     flips = int(noisy.mislabel_mask.sum())
     print(f"wrote {noisy.n} examples ({flips} flipped) to {out_path}")

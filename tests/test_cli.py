@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import drfit.cli as cli
 from drfit import theory
@@ -150,6 +152,124 @@ def test_bad_value_type_exits_2_before_any_artifact(tmp_path):
     snap = tmp_path / "prep.csv"
     assert main(["mnist-prep", "--out", str(snap), "--set", "noise.seed=abc"]) == 2
     assert not snap.exists()
+
+
+def test_out_of_range_value_exits_2_before_any_artifact(tmp_path):
+    bad_values = [
+        "noise.rates=[0.6,0.1]", "noise.rates=[0.1]", "data.val_fraction=1.5",
+        "data.val_fraction=0", "data.n=-5", "data.n=7", "data.cov=[[1,2],[2,1]]",
+        "data.mu=[1,1,1]", "data.cov=[[1,0],[0]]", "data.hidden=[0]",
+        'drfit.rho=["x"]', "drfit.rho=[-1,1]", "drfit.rho=[0.5]", "drfit.rho=5",
+        "drfit.rho=magic",
+        # an int key takes only whole numbers, every number key only finite ones
+        "train.epochs=2.5", "replications=1.5", "data.n=1e400", "noise.seed=0.5",
+        "drfit.lam=NaN", "train.omega_lr=Infinity", "data.cov=[[NaN,0],[0,1]]",
+    ]
+    for k, bad in enumerate(bad_values):
+        out = tmp_path / f"out{k}"
+        argv = ["train", "--output-dir", str(out), "--set", "train.epochs=1", "--set", bad]
+        assert main(argv) == 2, bad
+        assert not out.exists(), bad
+    for k, bad in enumerate(["data.n=7", "sweep.alpha_grid=[1,-1]", "sweep.lam_grid=[-0.5]",
+                             "sweep.train_kind=theory-1d"]):
+        out = tmp_path / f"sweep{k}"
+        assert main(["sweep", "--output-dir", str(out), "--set", bad]) == 2, bad
+        assert not out.exists(), bad
+
+
+def test_section_given_as_a_non_object_exits_2(tmp_path):
+    for k, argv in enumerate(
+        [["train", "--set", "drfit=5"], ["train", "--set", "train=5"],
+         ["theory", "--kind", "theory-1d", "--set", "theory=[1]"]]
+    ):
+        out = tmp_path / f"out{k}"
+        assert main([*argv, "--output-dir", str(out)]) == 2, argv
+        assert not out.exists(), argv
+
+
+def test_int_spelling_of_a_float_key_resolves_to_a_float(tmp_path):
+    as_int = validate_config(load_config(None, ["kind=synthetic-train", "drfit.alpha=2"]))
+    as_float = validate_config(load_config(None, ["kind=synthetic-train", "drfit.alpha=2.0"]))
+    assert json.dumps(as_int, sort_keys=True) == json.dumps(as_float, sort_keys=True)
+    assert config_digest(as_int) == config_digest(as_float)
+    assert isinstance(as_int["drfit"]["alpha"], float)
+    sweep = ["sweep", "--output-dir", str(tmp_path), "--set", "sweep.alpha_grid=[1]",
+             "--set", "sweep.lam_grid=[0]", "--set", "data.n=40", "--set", "train.epochs=0"]
+    assert main(sweep) == 0
+    assert (tmp_path / "alpha1.0-lam0.0").is_dir()
+
+
+def _numeric_leaves(tree, path=()):
+    """(path, default) of every number in a defaults tree, list items included."""
+    if isinstance(tree, dict):
+        for k, v in tree.items():
+            yield from _numeric_leaves(v, (*path, k))
+    elif isinstance(tree, list):
+        for i, v in enumerate(tree):
+            yield from _numeric_leaves(v, (*path, i))
+    elif isinstance(tree, (int, float)):
+        yield path, tree
+
+
+_LEAVES = list(_numeric_leaves(cli._DEFAULTS))
+
+
+def _respelled(default, step, factor, flip):
+    """A valid value near the default: int keys move by an even step (data.n
+    stays even), float keys shrink by factor <= 1 (rates stay below 0.5, cov
+    stays positive definite); flip spells it as the other number type."""
+    value = default + 2 * step if isinstance(default, int) else default * factor
+    if not flip:
+        return value
+    if isinstance(value, int):
+        return float(value)
+    return int(value) if value.is_integer() else value
+
+
+def _assert_typed_like(value, default):
+    if isinstance(default, dict):
+        for k, v in value.items():
+            _assert_typed_like(v, default[k])
+    elif isinstance(default, list):
+        for v in value:
+            _assert_typed_like(v, default[0])
+    elif isinstance(default, (int, float)):
+        assert type(value) is type(default), (value, default)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(_LEAVES), st.integers(0, 5),
+              st.one_of(st.just(1.0), st.floats(0.5, 1.0)), st.booleans()),
+    max_size=12,
+))
+def test_validate_config_types_every_leaf_and_is_idempotent(overrides):
+    cfg = load_config(None, ["kind=synthetic-train"])
+    for (path, default), step, factor, flip in overrides:
+        node = cfg
+        for p in path[:-1]:
+            node = node[p]
+        node[path[-1]] = _respelled(default, step, factor, flip)
+    typed = validate_config(cfg)
+    _assert_typed_like(typed, cli._DEFAULTS)
+    assert json.dumps(validate_config(typed), sort_keys=True) == json.dumps(typed, sort_keys=True)
+    assert typed == cfg  # conversion keeps every value
+
+
+def test_every_default_leaf_has_a_type_to_follow():
+    def walk(value, key):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, f"{key}.{k}")
+        elif isinstance(value, list):
+            assert value, f"{key} is an empty list"
+            assert all(type(v) is type(value[0]) for v in value), key
+            for v in value:
+                walk(v, key)
+        else:
+            assert value is None or type(value) in (int, float, str), key
+
+    walk(cli._DEFAULTS, "config")
 
 
 # ---------------------------------------------------------------------------
