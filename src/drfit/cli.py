@@ -15,13 +15,13 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -177,8 +177,8 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 def _typed(value, default, key: str = ""):
     """value converted to the type of its default: an object key by key, a
     list item by item after the default's first item, a number by the
-    default's type (finite, and whole for an int key); str and None
-    defaults let the value through."""
+    default's type (finite, and whole for an int key); a str default takes
+    a string, a None default a string or null."""
     kind = type(default)
     if kind in (dict, list) and not isinstance(value, kind):
         raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}")
@@ -187,6 +187,10 @@ def _typed(value, default, key: str = ""):
     if kind is list:
         return [_typed(v, default[0], key) for v in value]
     if kind not in (int, float):
+        # a path or name; drfit.rho also takes a list or null, checked in validate_config
+        if key != "drfit.rho" and not (isinstance(value, str) or value is None and default is None):
+            raise ConfigError(f"{key} must be a string{' or null' if default is None else ''}, "
+                              f"got {value!r}")
         return value
     try:
         number = kind(value)
@@ -205,8 +209,10 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.get('kind')!r}")
     cfg = _typed(cfg, _DEFAULTS)
     d, rates, rho, sweep = cfg["data"], cfg["noise"]["rates"], cfg["drfit"]["rho"], cfg["sweep"]
+    t = cfg["theory"]
     try:
         TrainConfig(**cfg["train"])
+        theory.PopulationProblem(theory.Gaussian(t["mean"], t["var"]), q=t["q"], nodes=t["nodes"]).rule
         DrFitConfig(cfg["drfit"]["alpha"], cfg["drfit"]["lam"], rho if isinstance(rho, list) else None)
         [DrFitConfig(a, lam) for a in sweep["alpha_grid"] for lam in sweep["lam_grid"]]
         _noise_spec(cfg)
@@ -222,6 +228,9 @@ def validate_config(cfg: dict) -> dict:
         (d["n"] > 0 and d["n"] % 2 == 0, "data.n must be a positive even number"),
         (cov.shape == (mu.size, mu.size), "data.cov must be square, one row per entry of data.mu"),
         (all(h >= 1 for h in d["hidden"]), "data.hidden widths must be at least 1"),
+        (d["subsample"] >= 1, "data.subsample must be at least 1"),
+        (t["alpha_step"] > 0, "theory.alpha_step must be positive"),
+        (t["alpha_lo"] > 0, "theory.alpha_lo must be positive"),
         (sweep["train_kind"] in ("mnist-1v7", "synthetic-train"),
          "sweep.train_kind must be mnist-1v7 or synthetic-train"),
     ):
@@ -326,11 +335,25 @@ def build_datasets(cfg: dict):
 # ---------------------------------------------------------------------------
 # training artifacts
 
+@contextmanager
+def _replacing(path):
+    """A temporary path beside `path` for the block to write; os.replace
+    moves it onto `path` when the block completes and it is removed when
+    the block raises, so no reader ever sees a half-written artifact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_trace_csv(trace, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "train_loss", "train_acc", "val_acc", "test_acc"])
-        for r in trace.records:
+        for r in trace:
             w.writerow(
                 [
                     r.epoch,
@@ -343,7 +366,7 @@ def _write_trace_csv(trace, path) -> None:
 
 
 def _write_omega_csv(omega: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "omega"])
         for i, v in enumerate(omega):
@@ -364,26 +387,29 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     digest = config_digest(cfg)
-    with open(out / "resolved_config.json", "w") as fh:
+    with _replacing(out / "resolved_config.json") as tmp, open(tmp, "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
 
     train_ds, val_ds, test_ds = build_datasets(cfg)
     if train_ds.mislabel_mask is not None:
-        save_dataset_csv(train_ds, out / "train_snapshot.csv")
+        with _replacing(out / "train_snapshot.csv") as tmp:
+            save_dataset_csv(train_ds, tmp)
     dr = _drfit_config(cfg, train_ds)
     layer_sizes = [train_ds.n_features, *cfg["data"]["hidden"], 1]
 
+    seeds = [base.seed + r for r in range(cfg["replications"])]
+    t0 = time.perf_counter()
+    results = train(train_ds, dr, base, [init_params(layer_sizes, seed=s) for s in seeds],
+                    val=val_ds, test=test_ds)
+    wall_time_s = time.perf_counter() - t0
     runs, omegas, failures = [], [], []
-    for r in range(cfg["replications"]):
-        seed = base.seed + r
-        tr = dataclasses.replace(base, seed=seed)
+    for seed, result in zip(seeds, results):
         run_dir = out / f"{digest}-seed{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        t0 = time.perf_counter()
         record = {
             "digest": digest,
             "seed": seed,
-            "solver": tr.solver,
+            "solver": base.solver,
             "error": None,
             "crash": None,
             "final_test_acc": None,
@@ -392,10 +418,13 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
             "detection_auc": None,
             "weights_file": "omega.csv",
             "trace_file": "trace.csv",
+            "wall_time_s": wall_time_s,
         }
-        try:
-            init = init_params(layer_sizes, seed=seed)
-            _, omega, trace = train(train_ds, dr, tr, init, val=val_ds, test=test_ds)
+        if isinstance(result, TrainingError):
+            record["error"] = str(result)
+            failures.append(record)
+        else:
+            _, omega, trace = result
             _write_trace_csv(trace, run_dir / "trace.csv")
             _write_omega_csv(omega, run_dir / "omega.csv")
             omegas.append(omega)
@@ -411,11 +440,7 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
             if train_ds.mislabel_mask is not None and train_ds.mislabel_mask.any():
                 record["detection_auc"] = detection_auc(omega, train_ds.mislabel_mask)
             runs.append((trace, record))
-        except TrainingError as exc:
-            record["error"] = str(exc)
-            failures.append(record)
-        record["wall_time_s"] = time.perf_counter() - t0
-        with open(run_dir / "record.json", "w") as fh:
+        with _replacing(run_dir / "record.json") as tmp, open(tmp, "w") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
         if not quiet:
             status = record["error"] or f"final test acc {record['final_test_acc']}"
@@ -429,11 +454,11 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
 
 def _aggregate_training(cfg, out: Path, train_ds, runs, omegas, failures) -> dict:
     n_epochs = cfg["train"]["epochs"]
-    with open(out / "accuracy_by_epoch.csv", "w", newline="") as fh:
+    with _replacing(out / "accuracy_by_epoch.csv") as tmp, open(tmp, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "mean_train_loss", "mean_train_acc", "mean_val_acc", "mean_test_acc"])
         for e in range(1, n_epochs + 1):
-            recs = [t.records[e - 1] for t, _ in runs if len(t.records) >= e]
+            recs = [t[e - 1] for t, _ in runs if len(t) >= e]
             if not recs:
                 continue
 
@@ -467,12 +492,14 @@ def _aggregate_training(cfg, out: Path, train_ds, runs, omegas, failures) -> dic
     mask = train_ds.mislabel_mask
     if omegas and mask is not None and mask.any():
         mean_omega = np.mean(np.stack(omegas), axis=0)
-        write_histogram_csv(weight_histogram(mean_omega, mask), out / "weight_histogram.csv")
-        write_curve_csv(separation_curve(mean_omega, mask), out / "separation_curve.csv")
+        with _replacing(out / "weight_histogram.csv") as tmp:
+            write_histogram_csv(weight_histogram(mean_omega, mask), tmp)
+        with _replacing(out / "separation_curve.csv") as tmp:
+            write_curve_csv(separation_curve(mean_omega, mask), tmp)
         summary["mean_weight_auc"] = detection_auc(mean_omega, mask)
         order = np.argsort(mean_omega)
         k = min(10, len(order))
-        with open(out / "extreme_examples.csv", "w", newline="") as fh:
+        with _replacing(out / "extreme_examples.csv") as tmp, open(tmp, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["rank", "kind", "index", "mean_omega", "label", "true_label"])
             for rank, i in enumerate(order[:k]):
@@ -485,7 +512,7 @@ def _aggregate_training(cfg, out: Path, train_ds, runs, omegas, failures) -> dic
                     ["%d" % rank, "highest", int(i), repr(float(mean_omega[i])),
                      int(train_ds.labels[i]), int(train_ds.true_labels[i])]
                 )
-    with open(out / "summary.json", "w") as fh:
+    with _replacing(out / "summary.json") as tmp, open(tmp, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return summary
 
@@ -631,11 +658,11 @@ def run_theory_report(cfg: dict) -> list[dict]:
         raise ConfigError(f"kind {kind} is not a theory scenario")
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "resolved_config.json", "w") as fh:
+    with _replacing(out / "resolved_config.json") as tmp, open(tmp, "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
-    with open(out / "report.json", "w") as fh:
+    with _replacing(out / "report.json") as tmp, open(tmp, "w") as fh:
         json.dump(entries, fh, indent=2, sort_keys=True)
-    with open(out / "report.csv", "w", newline="") as fh:
+    with _replacing(out / "report.csv") as tmp, open(tmp, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["key", "value", "target", "tolerance", "pass"])
         for e in entries:
@@ -687,7 +714,7 @@ def run_sweep(cfg: dict) -> dict:
             key = (row["mean_val_acc"], row["alpha"], row["lam"])
             if best is None or key > (best["mean_val_acc"], best["alpha"], best["lam"]):
                 best = row
-    with open(out / "sweep_table.csv", "w", newline="") as fh:
+    with _replacing(out / "sweep_table.csv") as tmp, open(tmp, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["alpha", "lam", "mean_val_acc", "crashes", "runs", "all_crashed"])
         for r in rows:
@@ -702,7 +729,7 @@ def run_sweep(cfg: dict) -> dict:
                 ]
             )
     result = {"best": best, "table": rows}
-    with open(out / "best.json", "w") as fh:
+    with _replacing(out / "best.json") as tmp, open(tmp, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
     if best is None:
         print("sweep: every grid point crashed or failed")
@@ -727,8 +754,10 @@ def run_detect(run_dir: str, snapshot: str, bins: int = 50) -> dict:
     if len(omega) != ds.n:
         raise DataError("weights and snapshot have different lengths")
     auc = detection_auc(omega, ds.mislabel_mask)
-    write_histogram_csv(weight_histogram(omega, ds.mislabel_mask, bins), run / "weight_histogram.csv")
-    write_curve_csv(separation_curve(omega, ds.mislabel_mask), run / "separation_curve.csv")
+    with _replacing(run / "weight_histogram.csv") as tmp:
+        write_histogram_csv(weight_histogram(omega, ds.mislabel_mask, bins), tmp)
+    with _replacing(run / "separation_curve.csv") as tmp:
+        write_curve_csv(separation_curve(omega, ds.mislabel_mask), tmp)
     print(f"detection AUC {auc:.4f}")
     return {"auc": auc}
 
@@ -736,7 +765,8 @@ def run_detect(run_dir: str, snapshot: str, bins: int = 50) -> dict:
 def run_mnist_prep(cfg: dict, out_path: str) -> None:
     cfg = validate_config(cfg)
     noisy = _noisy_mnist_train(cfg, data_root(cfg), _noise_spec(cfg))
-    save_dataset_csv(noisy, out_path)
+    with _replacing(out_path) as tmp:
+        save_dataset_csv(noisy, tmp)
     flips = int(noisy.mislabel_mask.sum())
     print(f"wrote {noisy.n} examples ({flips} flipped) to {out_path}")
 

@@ -86,43 +86,60 @@ class ClassPartition:
         return sum(len(ix) for ix in self.classes)
 
 
-def _class_masks(labels: np.ndarray, n_classes: int) -> list[tuple[int, np.ndarray]]:
-    """(c, labels == c) for each class c < n_classes present in labels."""
-    masks = []
-    for c in range(n_classes):
-        sel = labels == c
-        if sel.any():
-            masks.append((c, sel))
-    return masks
+class BudgetError(ValueError):
+    """Every weight of some class is zero; `bad` marks the failed rows of a
+    stacked weight array (a 0-d array for one row)."""
+
+    def __init__(self, msg: str, bad: np.ndarray):
+        super().__init__(msg)
+        self.bad = bad
 
 
-def _scale(omega: np.ndarray, masks: list[tuple[int, np.ndarray]], rho: np.ndarray) -> np.ndarray:
-    for c, sel in masks:
-        w = omega[sel]
-        total = w.sum()
-        if total <= 0.0:
-            raise ValueError(f"all weights of class {c} are zero")
-        omega[sel] = (rho[c] * w.size / total) * w
+def _members(labels: np.ndarray, n_classes: int, valid=None) -> np.ndarray:
+    """(..., n, K): 1.0 where an entry is valid and of class k, else 0.0."""
+    hot = np.eye(n_classes)[labels]
+    if valid is not None:
+        hot *= valid[..., None]
+    return hot
+
+
+def _scale(spread: np.ndarray, hot: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The weights scaled so each class within each row sums to rho_c times
+    its count in that row; spread (..., n, K) holds each entry's weight in
+    its class column and 0 elsewhere, so entries of no class get weight 0."""
+    ones = np.ones(hot.shape[-2])
+    count, total = ones @ hot, ones @ spread
+    dead = (count > 0) & (total <= 0.0)
+    if dead.any():
+        c = int(dead.reshape(-1, rho.size).any(axis=0).argmax())
+        raise BudgetError(f"all weights of class {c} are zero", dead[..., c])
+    # one product per entry: its weight times its class's factor, plus zeros
+    return (spread @ (rho * count / np.where(count > 0, total, 1.0))[..., None])[..., 0]
+
+
+def scale_to_budgets(omega: np.ndarray, labels: np.ndarray, rho: np.ndarray,
+                     valid: np.ndarray | None = None) -> np.ndarray:
+    """Scale, in place, the weights of each class present in `labels` (which
+    index rho) so they sum to rho_c times the class's count; returns omega.
+    Each row of stacked weights (..., n) is scaled on its own; entries where
+    `valid` is False get weight 0 and are not counted."""
+    hot = _members(labels, rho.size, valid)
+    omega[...] = _scale(hot * omega[..., None], hot, rho)
     return omega
 
 
-def scale_to_budgets(omega: np.ndarray, labels: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Scale, in place, the weights of each class present in `labels` (which
-    index rho) so they sum to rho_c times the class's count; returns omega."""
-    return _scale(omega, _class_masks(labels, rho.size), rho)
-
-
-def closed_form_weights(
-    losses: np.ndarray, labels: np.ndarray, rho: np.ndarray, alpha: float
-) -> np.ndarray:
+def closed_form_weights(losses: np.ndarray, labels: np.ndarray, rho: np.ndarray,
+                        alpha: float, valid: np.ndarray | None = None) -> np.ndarray:
     """Per-class softmax of -loss/alpha over the classes present in
-    `labels`, scaled to the class budgets."""
-    omega = -losses / alpha
-    masks = _class_masks(labels, rho.size)
-    for _, sel in masks:
-        t = omega[sel]
-        omega[sel] = np.exp(t - t.max())
-    return _scale(omega, masks, rho)
+    `labels`, scaled to the class budgets, within each row (the last axis)
+    of stacked losses. Entries where `valid` is False get weight 0 and are
+    not counted."""
+    t = (-losses / alpha)[..., None]
+    hot = _members(labels, rho.size, valid)
+    member = hot > 0
+    top = np.where(member, t, -np.inf).max(axis=-2, keepdims=True)
+    spread = np.zeros(np.broadcast_shapes(t.shape, hot.shape))
+    return _scale(np.exp(t - top, out=spread, where=member), hot, rho)
 
 
 def analytic_weights(losses: np.ndarray, part: ClassPartition, cfg: DrFitConfig) -> np.ndarray:
@@ -131,9 +148,9 @@ def analytic_weights(losses: np.ndarray, part: ClassPartition, cfg: DrFitConfig)
     losses = np.asarray(losses, dtype=np.float64)
     if not np.all(np.isfinite(losses)):
         raise ValueError("losses must be finite")
-    if part.n != losses.size:
-        raise ValueError(f"partition covers {part.n} of {losses.size} examples")
-    labels = np.empty(losses.size, dtype=np.int64)
+    if part.n != losses.shape[-1]:
+        raise ValueError(f"partition covers {part.n} of {losses.shape[-1]} examples")
+    labels = np.empty(part.n, dtype=np.int64)
     for k, idx in enumerate(part.classes):
         if len(idx) == 0:
             raise ConfigError(f"class {k} has no examples")

@@ -175,6 +175,25 @@ def test_out_of_range_value_exits_2_before_any_artifact(tmp_path):
         out = tmp_path / f"sweep{k}"
         assert main(["sweep", "--output-dir", str(out), "--set", bad]) == 2, bad
         assert not out.exists(), bad
+    for k, bad in enumerate(["data.subsample=0", "data.root=5", "data.snapshot=[1]",
+                             "data.test_snapshot=2"]):
+        out = tmp_path / f"data{k}"
+        argv = ["train", "--kind", "mnist-1v7", "--output-dir", str(out), "--set", bad]
+        assert main(argv) == 2, bad
+        assert not out.exists(), bad
+    for k, bad in enumerate(["theory.nodes=0", "theory.q=0.7", "theory.alpha_step=0",
+                             "theory.alpha_lo=-1", "theory.var=0"]):
+        out = tmp_path / f"theory{k}"
+        argv = ["theory", "--kind", "theory-counterexample", "--output-dir", str(out), "--set", bad]
+        assert main(argv) == 2, bad
+        assert not out.exists(), bad
+
+
+def test_output_dir_must_be_a_string(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for bad in ("output_dir=5", "output_dir=null", 'output_dir=["a"]'):
+        assert main(["train", "--set", "train.epochs=1", "--set", bad]) == 2, bad
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_section_given_as_a_non_object_exits_2(tmp_path):
@@ -307,6 +326,46 @@ def test_experiment_writes_deterministic_artifacts(tmp_path):
     assert blobs_a.keys() == blobs_b.keys()
     for name, blob in blobs_a.items():
         assert blob == blobs_b[name], f"artifact {name} differs between runs"
+
+
+def test_artifact_writer_that_raises_leaves_no_file(tmp_path):
+    target = tmp_path / "summary.json"
+    with pytest.raises(RuntimeError):
+        with cli._replacing(target) as tmp, open(tmp, "w") as fh:
+            fh.write('{"half": ')
+            raise RuntimeError("interrupted")
+    assert list(tmp_path.iterdir()) == []
+    target.write_text("old")
+    with pytest.raises(RuntimeError):
+        with cli._replacing(target) as tmp, open(tmp, "w") as fh:
+            fh.write("new, half written")
+            raise RuntimeError("interrupted")
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+    assert target.read_text() == "old"
+    with cli._replacing(target) as tmp, open(tmp, "w") as fh:
+        fh.write("new")
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+    assert target.read_text() == "new"
+
+
+def test_replications_share_one_stacked_run(tmp_path):
+    """Each replication's artifacts equal those of a one-replication run
+    with its seed, and every record carries the stacked run's wall time."""
+    stacked = tmp_path / "stacked"
+    run_training_experiment(_synth_cfg(stacked, replications=3), quiet=True)
+    records = [json.loads(p.read_text()) for p in sorted(stacked.glob("*-seed*/record.json"))]
+    assert [r["seed"] for r in records] == [0, 1, 2]
+    assert len({r["wall_time_s"] for r in records}) == 1
+    for seed in (0, 1, 2):
+        single = tmp_path / f"seed{seed}"
+        run_training_experiment(_synth_cfg(single, replications=1, **{"train.seed": seed}),
+                                quiet=True)
+        [run] = single.glob("*-seed*")
+        mine = next(stacked.glob(f"*-seed{seed}"))
+        for name in ("trace.csv", "omega.csv"):
+            a = np.loadtxt(run / name, delimiter=",", skiprows=1, ndmin=2)
+            b = np.loadtxt(mine / name, delimiter=",", skiprows=1, ndmin=2)
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-10)
 
 
 def test_trace_and_aggregate_schemas(tmp_path):

@@ -231,6 +231,46 @@ def test_closed_form_weights_meet_every_budget(problem, alpha):
 
 
 @settings(max_examples=200, deadline=None)
+@given(problem=_weight_problem(), alpha=st.floats(0.1, 10.0), data=st.data())
+def test_padded_entries_get_no_weight_and_leave_the_budgets(problem, alpha, data):
+    """Entries marked invalid (the padding of a stacked batch) get weight 0,
+    and the valid ones get the weights of the batch without the padding."""
+    losses, labels, rho = problem
+    valid = np.array(data.draw(st.lists(st.booleans(), min_size=labels.size,
+                                        max_size=labels.size)))
+    w = closed_form_weights(losses, labels, rho, alpha, valid)
+    assert np.all(w[~valid] == 0.0)
+    for c in np.unique(labels[valid]):
+        sel = valid & (labels == c)
+        assert math.isclose(w[sel].sum(), rho[c] * sel.sum(), rel_tol=1e-9)
+    if valid.any():
+        np.testing.assert_allclose(w[valid], closed_form_weights(losses[valid], labels[valid],
+                                                                  rho, alpha), rtol=1e-12)
+    scaled = scale_to_budgets(losses + 1.0, labels, rho, valid)
+    assert np.all(scaled[~valid] == 0.0)
+    np.testing.assert_allclose(scaled[valid], scale_to_budgets(losses[valid] + 1.0, labels[valid],
+                                                               rho), rtol=1e-12)
+
+
+def test_weights_of_stacked_rows_equal_the_per_row_calls():
+    rng = np.random.default_rng(3)
+    losses = rng.uniform(0.0, 5.0, size=(4, 9))
+    labels = rng.integers(2, size=(4, 9))
+    rho = np.array([1.25, 0.8])
+    stacked = closed_form_weights(losses, labels, rho, 0.7)
+    scaled = scale_to_budgets(losses.copy(), labels, rho)
+    shared = closed_form_weights(losses, labels[0], rho, 0.7)
+    for r in range(4):
+        assert np.array_equal(stacked[r], closed_form_weights(losses[r], labels[r], rho, 0.7))
+        assert np.array_equal(scaled[r], scale_to_budgets(losses[r].copy(), labels[r], rho))
+        assert np.array_equal(shared[r], closed_form_weights(losses[r], labels[0], rho, 0.7))
+    losses[2] = 0.0
+    with pytest.raises(ValueError) as err:
+        scale_to_budgets(losses, labels, rho)
+    assert err.value.bad.tolist() == [False, False, True, False]
+
+
+@settings(max_examples=200, deadline=None)
 @given(problem=_weight_problem(), alpha=st.floats(0.1, 10.0),
        shift=st.floats(-5.0, 5.0), pick=st.integers(0, 2))
 def test_closed_form_weights_ignore_a_per_class_loss_shift(problem, alpha, shift, pick):

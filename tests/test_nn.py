@@ -175,3 +175,47 @@ def test_nonfinite_activations_raise():
     x = np.array([[1.0, np.inf]])
     with pytest.raises(NumericError):
         mlp_forward(params, x)
+
+
+@pytest.mark.parametrize(
+    "layer_sizes,activation,output",
+    [([3, 5, 1], "relu", "logistic"), ([3, 4, 3], "identity", "softmax")],
+)
+def test_stacked_kernels_equal_the_per_net_calls(layer_sizes, activation, output):
+    """Nets stacked on a leading axis give, slice by slice, the forward
+    pass, losses and gradients of the nets one at a time, both with one
+    batch per net and with one batch shared by all of them."""
+    rng = np.random.default_rng(7)
+    nets = [init_params(layer_sizes, seed=s, activation=activation, output=output)
+            for s in range(3)]
+    flat = np.stack([p.flatten() for p in nets])
+    stacked = nets[0].unflatten(flat)
+    k = nets[0].n_classes
+    x = rng.normal(size=(3, 6, layer_sizes[0]))
+    labels = rng.integers(k, size=(3, 6))
+    omega = rng.uniform(0.0, 2.0, size=(3, 6))
+    cache = mlp_forward(stacked, x)
+    losses = per_example_loss(cache, labels)
+    grads = weighted_backward(stacked, cache, labels, omega, 0.3)
+    shared = mlp_forward(stacked, x[0])
+    shared_losses = per_example_loss(shared, labels[0])
+    for r, net in enumerate(nets):
+        one = mlp_forward(net, x[r])
+        assert np.array_equal(cache.scores[r], one.scores)
+        assert np.array_equal(losses[r], per_example_loss(one, labels[r]))
+        assert np.array_equal(grads[r], weighted_backward(net, one, labels[r], omega[r], 0.3))
+        alone = mlp_forward(net, x[0])
+        np.testing.assert_allclose(shared.scores[r], alone.scores, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(shared_losses[r], per_example_loss(alone, labels[0]),
+                                   rtol=1e-14, atol=1e-300)
+    assert np.array_equal(stacked.flatten(), flat)
+
+
+def test_nonfinite_values_name_the_failed_nets():
+    nets = [init_params([2, 3, 1], seed=s) for s in range(3)]
+    nets[1].weights[1] *= np.inf
+    stacked = nets[0].unflatten(np.stack([p.flatten() for p in nets]))
+    with pytest.raises(NumericError) as err, np.errstate(invalid="ignore"):
+        mlp_forward(stacked, np.ones((4, 2)))
+    assert err.value.bad.tolist() == [False, True, False]
+    assert "layer 1" in str(err.value)

@@ -1,5 +1,6 @@
 """Minibatch descent, the alternating weight scheme, and their invariants."""
 
+import dataclasses
 import math
 import types
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drfit.core import ClassPartition, ConfigError, DrFitConfig, analytic_weights, reduced_loss
+from drfit.core import (ClassPartition, ConfigError, DrFitConfig, analytic_weights,
+                        closed_form_weights, reduced_loss, scale_to_budgets)
 from drfit.data import LabeledDataset, NoiseSpec, inject_label_noise, synthetic_gaussian_2class
 from drfit.nn import init_params, mlp_forward, per_example_loss, weighted_backward
 from drfit.train import (
@@ -280,3 +282,108 @@ def test_train_submodule_is_not_shadowed():
 
     assert isinstance(m, types.ModuleType)
     assert callable(m.train)
+
+
+def _stack_setup(n=66, seed=21):
+    """Toy data whose batches of 16 come out 12 to 14 rows wide, and three
+    nets for a stacked run."""
+    ds = _toy_data(n=n, seed=seed)
+    part = ClassPartition.from_labels(ds.labels)
+    sizes = {b.size for s in (30, 31, 32)
+             for b in _stratified_batches(part, 16, np.random.default_rng(s))}
+    assert len(sizes) > 1  # the stack has to pad
+    return ds, [init_params([2, 4, 1], seed=40 + r) for r in range(3)]
+
+
+def _batch_by_batch(ds, dr, tr, net):
+    """Reference: one net, one unpadded batch at a time, through the
+    one-net kernels; returns the parameters, weights and training losses."""
+    part = ClassPartition.from_labels(ds.labels)
+    rho, rng, params = dr.rho_for(2), np.random.default_rng(tr.seed), net.copy()
+    omega, losses = rho[ds.labels].astype(float), []
+    for epoch in range(1, tr.epochs + 1):
+        for subset in _stratified_batches(part, tr.batch_size, rng):
+            x, y = ds.features[subset], ds.labels[subset]
+            cache = mlp_forward(params, x)
+            w = (closed_form_weights(per_example_loss(cache, y), y, rho, dr.alpha)
+                 if tr.solver == "analytic" else omega[subset])
+            grad = weighted_backward(params, cache, y, w, dr.lam)
+            params = params.unflatten(params.flatten() - tr.theta_lr * grad).copy()
+            if tr.solver == "numeric" and epoch > tr.burn_in:
+                fresh = per_example_loss(mlp_forward(params, x), y)
+                prev = omega[subset]
+                w = prev - tr.omega_lr * (fresh + dr.alpha * np.log(np.maximum(prev, 1e-8)))
+                omega[subset] = scale_to_budgets(np.maximum(w, 0.0), y, rho)
+        losses.append(float(per_example_loss(mlp_forward(params, ds.features), ds.labels).mean()))
+    if tr.solver == "analytic":
+        omega = analytic_weights(per_example_loss(mlp_forward(params, ds.features), ds.labels),
+                                 part, dr)
+    return params, omega, losses
+
+
+@pytest.mark.parametrize("solver", ["analytic", "numeric", "plain"])
+def test_stacked_run_matches_separate_runs(solver):
+    """Replication r of a stacked run is the run of its net alone with seed
+    s + r, and both are the batch-by-batch run without padding: same
+    batches, parameters, weights and trace."""
+    ds, nets = _stack_setup()
+    dr = DrFitConfig(alpha=0.5, lam=0.05, rho=(1.1, 0.9))
+    tr = TrainConfig(epochs=3, batch_size=16, theta_lr=0.05, omega_lr=0.05, burn_in=0,
+                     seed=30, solver=solver)
+    stacked = train(ds, dr, tr, nets, val=ds, test=ds)
+    for r, net in enumerate(nets):
+        one = dataclasses.replace(tr, seed=30 + r)
+        alone = train(ds, dr, one, net, val=ds, test=ds)
+        (p1, w1, t1), (p0, w0, t0) = stacked[r], alone
+        np.testing.assert_allclose(p1.flatten(), p0.flatten(), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(w1, w0, rtol=0, atol=1e-10)
+        for name in ("train_loss", "train_acc", "val_acc", "test_acc"):
+            np.testing.assert_allclose(t1.column(name), t0.column(name), rtol=0, atol=1e-10)
+        p_ref, w_ref, loss_ref = _batch_by_batch(ds, dr, one, net)
+        np.testing.assert_allclose(p1.flatten(), p_ref.flatten(), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(w1, w_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(t1.column("train_loss"), loss_ref, rtol=0, atol=1e-10)
+    assert all(np.array_equal(n.flatten(), m.flatten()) for n, m in zip(nets, _stack_setup()[1]))
+
+
+@pytest.mark.parametrize("bad", [1, 2])
+def test_a_diverging_replication_leaves_the_others_alone(bad):
+    """A net that overflows fails with its epoch; the others end as they
+    would have without it in the stack."""
+    ds, nets = _stack_setup()
+    dr = DrFitConfig(alpha=0.5, lam=0.0, rho=(1.0, 1.0))
+    tr = TrainConfig(epochs=3, batch_size=16, theta_lr=0.05, seed=30, solver="analytic")
+    blown = init_params([2, 4, 1], seed=40 + bad)
+    for w in blown.weights:
+        w *= 1e200
+    nets[bad] = blown
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = train(ds, dr, tr, nets)
+    assert isinstance(results[bad], TrainingError)
+    assert results[bad].epoch == 1 and "(epoch 1)" in str(results[bad])
+    others = sorted({0, 1, 2} - {bad})
+    if bad == 2:  # the same seeds as a two-net stack
+        expected = dict(enumerate(train(ds, dr, tr, nets[:2])))
+    else:
+        expected = {r: train(ds, dr, dataclasses.replace(tr, seed=30 + r), nets[r]) for r in others}
+    for r in others:
+        (p1, w1, t1), (p0, w0, t0) = results[r], expected[r]
+        assert np.array_equal(p1.flatten(), p0.flatten())
+        assert np.array_equal(w1, w0)
+        assert t1.column("train_loss") == t0.column("train_loss")
+
+
+def test_a_net_without_a_batch_skips_the_step():
+    """With batch size 1 dealing can leave a bucket empty, so nets can differ
+    in batch count; the short net then skips the step, ridge term included."""
+    ds = _toy_data(n=8, seed=3)
+    part = ClassPartition.from_labels(ds.labels)
+    counts = [len(_stratified_batches(part, 1, np.random.default_rng(s))) for s in range(40)]
+    seed = next(s for s in range(39) if counts[s] != counts[s + 1])
+    dr = DrFitConfig(alpha=0.5, lam=0.5, rho=(1.0, 1.0))
+    tr = TrainConfig(epochs=2, batch_size=1, theta_lr=0.01, seed=seed, solver="plain")
+    nets = [init_params([2, 4, 1], seed=50 + r) for r in range(2)]
+    stacked = train(ds, dr, tr, nets)
+    for r in range(2):
+        alone = train(ds, dr, dataclasses.replace(tr, seed=seed + r), nets[r])
+        np.testing.assert_allclose(stacked[r][0].flatten(), alone[0].flatten(), rtol=0, atol=1e-12)
