@@ -353,7 +353,7 @@ def _write_trace_csv(trace, path) -> None:
     with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "train_loss", "train_acc", "val_acc", "test_acc"])
-        for r in trace:
+        for r in trace.records:
             w.writerow(
                 [
                     r.epoch,
@@ -458,7 +458,7 @@ def _aggregate_training(cfg, out: Path, train_ds, runs, omegas, failures) -> dic
         w = csv.writer(fh)
         w.writerow(["epoch", "mean_train_loss", "mean_train_acc", "mean_val_acc", "mean_test_acc"])
         for e in range(1, n_epochs + 1):
-            recs = [t[e - 1] for t, _ in runs if len(t) >= e]
+            recs = [t.records[e - 1] for t, _ in runs if len(t.records) >= e]
             if not recs:
                 continue
 

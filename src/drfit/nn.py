@@ -35,12 +35,15 @@ def _raise_nonfinite(x: np.ndarray, what: str, layer: int) -> None:
 
 @dataclass
 class MlpParams:
-    """Weights and biases of a dense feed-forward net: weights[i] has shape
-    (n_in, n_out), biases[i] (n_out,). R nets stacked carry a leading axis,
-    (R, n_in, n_out) and (R, n_out). With output="logistic" the final layer
-    has a single unit z and the class scores are (-z, +z), so that
-    P(y=1 | x) = e^z / (e^z + e^{-z}); with "softmax" it emits one score
-    per class."""
+    """Weights and biases of a dense feed-forward net.
+
+    weights[i] has shape (n_in, n_out); biases[i] has shape (n_out,).
+    R nets stacked carry a leading axis: (R, n_in, n_out) and (R, n_out).
+    With output="logistic" the final layer must have a single unit z and
+    the two class scores are (-z, +z), so that
+    P(y=1 | x) = e^z / (e^z + e^{-z}). With output="softmax" the final
+    layer emits one score per class.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -60,10 +63,16 @@ class MlpParams:
             if w.ndim < 2 or b.shape != w.shape[:-2] + w.shape[-1:]:
                 raise ShapeError(f"layer {i}: weight {w.shape} vs bias {b.shape}")
             if i > 0 and self.weights[i - 1].shape[-1] != w.shape[-2]:
-                raise ShapeError(f"layer {i - 1} emits {self.weights[i - 1].shape[-1]} "
-                                 f"features, layer {i} expects {w.shape[-2]}")
+                raise ShapeError(
+                    f"layer {i - 1} emits {self.weights[i - 1].shape[-1]} features, "
+                    f"layer {i} expects {w.shape[-2]}"
+                )
         if self.output == "logistic" and self.weights[-1].shape[-1] != 1:
             raise ShapeError("logistic output requires a single final unit")
+
+    @property
+    def n_in(self) -> int:
+        return self.weights[0].shape[-2]
 
     @property
     def n_classes(self) -> int:
@@ -76,8 +85,11 @@ class MlpParams:
 
     def flatten(self) -> np.ndarray:
         """Flattened parameter vector, one row per stacked net; inverse of unflatten."""
-        return np.concatenate([a for w, b in zip(self.weights, self.biases)
-                               for a in (w.reshape(*w.shape[:-2], -1), b)], axis=-1)
+        parts = []
+        for w, b in zip(self.weights, self.biases):
+            parts.append(w.reshape(*w.shape[:-2], -1))
+            parts.append(b)
+        return np.concatenate(parts, axis=-1)
 
     def unflatten(self, vec: np.ndarray) -> "MlpParams":
         """Parameters laid out as flatten() lays them out, one net per row of
@@ -94,12 +106,20 @@ class MlpParams:
         return MlpParams(weights, biases, self.activation, self.output)
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases],
-                         self.activation, self.output)
+        return MlpParams(
+            [w.copy() for w in self.weights],
+            [b.copy() for b in self.biases],
+            self.activation,
+            self.output,
+        )
 
 
-def init_params(layer_sizes: list[int], seed: int, activation: str = "relu",
-                output: str = "logistic") -> MlpParams:
+def init_params(
+    layer_sizes: list[int],
+    seed: int,
+    activation: str = "relu",
+    output: str = "logistic",
+) -> MlpParams:
     """Seeded He-style uniform initialisation, zero biases."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -120,34 +140,45 @@ class ForwardCache:
     scores: np.ndarray  # (..., n, K) class scores (logits)
 
 
+def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    return z
+
+
+def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "relu":
+        return (z > 0.0).astype(np.float64)
+    return np.ones_like(z)
+
+
 def mlp_forward(params: MlpParams, batch: np.ndarray) -> ForwardCache:
     """Run the net on a batch (one example per row), keeping intermediates.
     Stacked nets take one batch per net, (R, n, n_in), or one batch shared
-    by all of them, (n, n_in), which is broadcast, not copied."""
+    by all of them, (n, n_in), which matmul broadcasts without copying."""
     x = np.asarray(batch, dtype=np.float64)
-    n_in = params.weights[0].shape[-2]
-    if x.ndim < 2 or x.shape[-1] != n_in:
-        raise ShapeError(f"batch {x.shape} does not match input width {n_in}")
-    a, pre_acts, acts = x, [], []
+    if x.ndim < 2 or x.shape[-1] != params.n_in:
+        raise ShapeError(f"batch {x.shape} does not match input width {params.n_in}")
+    pre_acts, acts = [], []
+    a = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if a.ndim < w.ndim:  # one input shared by R stacked nets: one wide product
-            r, d, h = w.shape
-            z = (a @ w.swapaxes(0, 1).reshape(d, r * h)).reshape(-1, r, h).swapaxes(0, 1)
-        else:
-            z = a @ w
-        z += b[..., None, :]
+        z = a @ w + b[..., None, :]
         _raise_nonfinite(z, "pre-activation", i)
         pre_acts.append(z)
-        a = z if i == last or params.activation != "relu" else np.maximum(z, 0.0)
+        a = z if i == last else _activate(z, params.activation)
         acts.append(a)
-    z = pre_acts[-1]
-    scores = np.concatenate((-z, z), axis=-1) if params.output == "logistic" else z
+    if params.output == "logistic":
+        z = pre_acts[-1]
+        scores = np.concatenate((-z, z), axis=-1)
+    else:
+        scores = pre_acts[-1]
     return ForwardCache(inputs=x, pre_acts=pre_acts, acts=acts, scores=scores)
 
 
 def softmax_probs(scores: np.ndarray) -> np.ndarray:
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -172,8 +203,13 @@ def per_example_loss(cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
     return lse - s[_label_index(labels)]
 
 
-def weighted_backward(params: MlpParams, cache: ForwardCache, labels: np.ndarray,
-                      omega: np.ndarray, lam: float = 0.0) -> np.ndarray:
+def weighted_backward(
+    params: MlpParams,
+    cache: ForwardCache,
+    labels: np.ndarray,
+    omega: np.ndarray,
+    lam: float = 0.0,
+) -> np.ndarray:
     """Gradient of sum_i omega_i * loss_i + (lam/2)*||theta||^2, flattened
     (one row per stacked net)."""
     omega = np.asarray(omega, dtype=np.float64)
@@ -181,22 +217,32 @@ def weighted_backward(params: MlpParams, cache: ForwardCache, labels: np.ndarray
         raise ShapeError(f"omega {omega.shape} vs scores {cache.scores.shape}")
     if (omega < 0).any():
         raise ValueError("observation weights must be nonnegative")
+
     d_scores = softmax_probs(cache.scores)
     d_scores[_label_index(np.asarray(labels))] -= 1.0
     d_scores *= omega[..., None]
 
-    # logistic scores are (-z, z): dz = dscore_1 - dscore_0
-    d_z = d_scores[..., 1:] - d_scores[..., :1] if params.output == "logistic" else d_scores
-    parts = []
+    if params.output == "logistic":
+        # scores are (-z, z): dz = dscore_1 - dscore_0
+        d_z = d_scores[..., 1:] - d_scores[..., :1]
+    else:
+        d_z = d_scores
+
+    grads_w = [None] * len(params.weights)
+    grads_b = [None] * len(params.biases)
     for i in range(len(params.weights) - 1, -1, -1):
         a_prev = cache.inputs if i == 0 else cache.acts[i - 1]
-        g_w = a_prev.swapaxes(-1, -2) @ d_z
-        _raise_nonfinite(g_w, "gradient", i)
-        parts[:0] = [g_w.reshape(*g_w.shape[:-2], -1), d_z.sum(axis=-2)]
+        grads_w[i] = a_prev.swapaxes(-1, -2) @ d_z
+        grads_b[i] = d_z.sum(axis=-2)
+        _raise_nonfinite(grads_w[i], "gradient", i)
         if i > 0:
             d_a = d_z @ params.weights[i].swapaxes(-1, -2)
-            d_z = d_a * (cache.pre_acts[i - 1] > 0.0) if params.activation == "relu" else d_a
+            d_z = d_a * _activate_grad(cache.pre_acts[i - 1], params.activation)
 
+    parts = []
+    for gw, gb in zip(grads_w, grads_b):
+        parts.append(gw.reshape(*gw.shape[:-2], -1))
+        parts.append(gb)
     grad = np.concatenate(parts, axis=-1)
     if lam != 0.0:
         grad += lam * params.flatten()

@@ -20,7 +20,7 @@ All randomness flows from TrainConfig.seed; traces are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,17 +58,20 @@ class TrainConfig:
     solver: str = "analytic"
 
     def __post_init__(self):
-        for ok, message in (
-            (self.epochs >= 0, "epochs must be nonnegative"),
-            (self.batch_size >= 1, "batch_size must be at least 1"),
-            (self.update_frequency >= 1, "update_frequency must be at least 1"),
-            (self.theta_lr > 0, "theta_lr must be positive"),
-            (self.omega_lr >= 0, "omega_lr must be nonnegative"),
-            (self.burn_in >= 0, "burn_in must be nonnegative"),
-            (self.solver in SOLVERS, f"solver must be one of {SOLVERS}"),
-        ):
-            if not ok:
-                raise ConfigError(message)
+        if self.epochs < 0:
+            raise ConfigError("epochs must be nonnegative")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be at least 1")
+        if self.update_frequency < 1:
+            raise ConfigError("update_frequency must be at least 1")
+        if not self.theta_lr > 0:
+            raise ConfigError("theta_lr must be positive")
+        if self.omega_lr < 0:
+            raise ConfigError("omega_lr must be nonnegative")
+        if self.burn_in < 0:
+            raise ConfigError("burn_in must be nonnegative")
+        if self.solver not in SOLVERS:
+            raise ConfigError(f"solver must be one of {SOLVERS}")
 
 
 @dataclass(frozen=True)
@@ -80,11 +83,18 @@ class EpochRecord:
     test_acc: float | None = None
 
 
-class TrainTrace(list):
-    """The EpochRecords of one run, in epoch order."""
+@dataclass
+class TrainTrace:
+    records: list[EpochRecord] = field(default_factory=list)
+
+    def append(self, rec: EpochRecord) -> None:
+        self.records.append(rec)
+
+    def __len__(self) -> int:
+        return len(self.records)
 
     def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self]
+        return [getattr(r, name) for r in self.records]
 
 
 def _accuracy(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -100,7 +110,8 @@ def evaluate(params: MlpParams, ds: LabeledDataset):
 
 
 def mean_loss(params: MlpParams, ds: LabeledDataset) -> float:
-    return float(per_example_loss(mlp_forward(params, ds.features), ds.labels).mean())
+    cache = mlp_forward(params, ds.features)
+    return float(per_example_loss(cache, ds.labels).mean())
 
 
 def _stratified_batches(part: ClassPartition, batch_size: int, rng) -> list[np.ndarray]:

@@ -205,9 +205,8 @@ def test_stacked_kernels_equal_the_per_net_calls(layer_sizes, activation, output
         assert np.array_equal(losses[r], per_example_loss(one, labels[r]))
         assert np.array_equal(grads[r], weighted_backward(net, one, labels[r], omega[r], 0.3))
         alone = mlp_forward(net, x[0])
-        np.testing.assert_allclose(shared.scores[r], alone.scores, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(shared_losses[r], per_example_loss(alone, labels[0]),
-                                   rtol=1e-14, atol=1e-300)
+        assert np.array_equal(shared.scores[r], alone.scores)
+        assert np.array_equal(shared_losses[r], per_example_loss(alone, labels[0]))
     assert np.array_equal(stacked.flatten(), flat)
 
 
