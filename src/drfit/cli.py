@@ -231,6 +231,7 @@ def validate_config(cfg: dict) -> dict:
         (d["subsample"] >= 1, "data.subsample must be at least 1"),
         (t["alpha_step"] > 0, "theory.alpha_step must be positive"),
         (t["alpha_lo"] > 0, "theory.alpha_lo must be positive"),
+        (t["alpha_lo"] <= t["alpha_hi"], "theory.alpha_lo must not exceed theory.alpha_hi"),
         (sweep["train_kind"] in ("mnist-1v7", "synthetic-train"),
          "sweep.train_kind must be mnist-1v7 or synthetic-train"),
     ):

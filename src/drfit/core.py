@@ -95,20 +95,20 @@ class BudgetError(ValueError):
         self.bad = bad
 
 
-def _members(labels: np.ndarray, n_classes: int, valid=None) -> np.ndarray:
-    """(..., n, K): 1.0 where an entry is valid and of class k, else 0.0."""
-    hot = np.eye(n_classes)[labels]
+def class_members(labels: np.ndarray, n_classes: int, valid=None):
+    """(member, count): member (..., n, K) is True where an entry is valid
+    and of class k; count (..., K) is the number of such entries."""
+    member = np.eye(n_classes, dtype=bool)[labels]
     if valid is not None:
-        hot *= valid[..., None]
-    return hot
+        member &= valid[..., None]
+    return member, member.sum(axis=-2)
 
 
-def _scale(spread: np.ndarray, hot: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _scale(spread: np.ndarray, count: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """The weights scaled so each class within each row sums to rho_c times
     its count in that row; spread (..., n, K) holds each entry's weight in
     its class column and 0 elsewhere, so entries of no class get weight 0."""
-    ones = np.ones(hot.shape[-2])
-    count, total = ones @ hot, ones @ spread
+    total = np.ones(spread.shape[-2]) @ spread
     dead = (count > 0) & (total <= 0.0)
     if dead.any():
         c = int(dead.reshape(-1, rho.size).any(axis=0).argmax())
@@ -117,15 +117,29 @@ def _scale(spread: np.ndarray, hot: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return (spread @ (rho * count / np.where(count > 0, total, 1.0))[..., None])[..., 0]
 
 
+def scale_members(omega: np.ndarray, member: np.ndarray, count: np.ndarray,
+                  rho: np.ndarray) -> np.ndarray:
+    """scale_to_budgets for the class membership (member, count) of class_members."""
+    omega[...] = _scale(member * omega[..., None], count, rho)
+    return omega
+
+
 def scale_to_budgets(omega: np.ndarray, labels: np.ndarray, rho: np.ndarray,
                      valid: np.ndarray | None = None) -> np.ndarray:
     """Scale, in place, the weights of each class present in `labels` (which
     index rho) so they sum to rho_c times the class's count; returns omega.
     Each row of stacked weights (..., n) is scaled on its own; entries where
     `valid` is False get weight 0 and are not counted."""
-    hot = _members(labels, rho.size, valid)
-    omega[...] = _scale(hot * omega[..., None], hot, rho)
-    return omega
+    return scale_members(omega, *class_members(labels, rho.size, valid), rho)
+
+
+def member_weights(losses: np.ndarray, member: np.ndarray, count: np.ndarray, rho: np.ndarray,
+                   alpha: float) -> np.ndarray:
+    """closed_form_weights for the class membership (member, count) of class_members."""
+    t = (losses / -alpha)[..., None]
+    top = np.where(member, t, -np.inf).max(axis=-2, keepdims=True)
+    spread = np.zeros(np.broadcast(t, member).shape)
+    return _scale(np.exp(t - top, out=spread, where=member), count, rho)
 
 
 def closed_form_weights(losses: np.ndarray, labels: np.ndarray, rho: np.ndarray,
@@ -134,12 +148,7 @@ def closed_form_weights(losses: np.ndarray, labels: np.ndarray, rho: np.ndarray,
     `labels`, scaled to the class budgets, within each row (the last axis)
     of stacked losses. Entries where `valid` is False get weight 0 and are
     not counted."""
-    t = (-losses / alpha)[..., None]
-    hot = _members(labels, rho.size, valid)
-    member = hot > 0
-    top = np.where(member, t, -np.inf).max(axis=-2, keepdims=True)
-    spread = np.zeros(np.broadcast_shapes(t.shape, hot.shape))
-    return _scale(np.exp(t - top, out=spread, where=member), hot, rho)
+    return member_weights(losses, *class_members(labels, rho.size, valid), rho, alpha)
 
 
 def analytic_weights(losses: np.ndarray, part: ClassPartition, cfg: DrFitConfig) -> np.ndarray:

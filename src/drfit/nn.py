@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit, log_expit
 
 ACTIVATIONS = ("relu", "identity")
-OUTPUTS = ("logistic", "softmax")
 
 
 class ShapeError(ValueError):
@@ -39,24 +39,20 @@ class MlpParams:
 
     weights[i] has shape (n_in, n_out); biases[i] has shape (n_out,).
     R nets stacked carry a leading axis: (R, n_in, n_out) and (R, n_out).
-    With output="logistic" the final layer must have a single unit z and
-    the two class scores are (-z, +z), so that
-    P(y=1 | x) = e^z / (e^z + e^{-z}). With output="softmax" the final
-    layer emits one score per class.
+    The head is logistic: the final layer has a single unit z, the score,
+    and P(y=1 | x) = e^z / (e^z + e^{-z}), the softmax of the class
+    scores (-z, +z).
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: str = "relu"
-    output: str = "softmax"
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ShapeError("need one bias vector per weight matrix")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.output not in OUTPUTS:
-            raise ValueError(f"unknown output kind {self.output!r}")
         self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -67,16 +63,12 @@ class MlpParams:
                     f"layer {i - 1} emits {self.weights[i - 1].shape[-1]} features, "
                     f"layer {i} expects {w.shape[-2]}"
                 )
-        if self.output == "logistic" and self.weights[-1].shape[-1] != 1:
-            raise ShapeError("logistic output requires a single final unit")
+        if self.weights[-1].shape[-1] != 1:
+            raise ShapeError("the logistic head needs a single final unit")
 
     @property
     def n_in(self) -> int:
         return self.weights[0].shape[-2]
-
-    @property
-    def n_classes(self) -> int:
-        return 2 if self.output == "logistic" else self.weights[-1].shape[-1]
 
     @property
     def n_params(self) -> int:
@@ -103,14 +95,13 @@ class MlpParams:
             weights.append(vec[..., k : k + n_w].reshape(*vec.shape[:-1], *w.shape[-2:]))
             biases.append(vec[..., k + n_w : k + n_w + b.shape[-1]])
             k += n_w + b.shape[-1]
-        return MlpParams(weights, biases, self.activation, self.output)
+        return MlpParams(weights, biases, self.activation)
 
     def copy(self) -> "MlpParams":
         return MlpParams(
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
             self.activation,
-            self.output,
         )
 
 
@@ -118,7 +109,6 @@ def init_params(
     layer_sizes: list[int],
     seed: int,
     activation: str = "relu",
-    output: str = "logistic",
 ) -> MlpParams:
     """Seeded He-style uniform initialisation, zero biases."""
     rng = np.random.default_rng(seed)
@@ -127,7 +117,7 @@ def init_params(
         limit = np.sqrt(6.0 / n_in)
         weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)))
         biases.append(np.zeros(n_out))
-    return MlpParams(weights, biases, activation, output)
+    return MlpParams(weights, biases, activation)
 
 
 @dataclass
@@ -137,7 +127,7 @@ class ForwardCache:
     inputs: np.ndarray
     pre_acts: list[np.ndarray]
     acts: list[np.ndarray]
-    scores: np.ndarray  # (..., n, K) class scores (logits)
+    scores: np.ndarray  # (..., n) the final unit z of each example
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -148,7 +138,7 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0  # multiplies as 1.0 and 0.0
     return np.ones_like(z)
 
 
@@ -163,44 +153,32 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> ForwardCache:
     a = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b[..., None, :]
+        z = a @ w
+        z += b[..., None, :]
         _raise_nonfinite(z, "pre-activation", i)
         pre_acts.append(z)
         a = z if i == last else _activate(z, params.activation)
         acts.append(a)
-    if params.output == "logistic":
-        z = pre_acts[-1]
-        scores = np.concatenate((-z, z), axis=-1)
-    else:
-        scores = pre_acts[-1]
-    return ForwardCache(inputs=x, pre_acts=pre_acts, acts=acts, scores=scores)
+    return ForwardCache(inputs=x, pre_acts=pre_acts, acts=acts, scores=pre_acts[-1][..., 0])
 
 
-def softmax_probs(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _label_index(labels: np.ndarray):
-    """Index of each example's label score in the scores; labels of shape
-    (n,) are shared by all stacked nets, (R, n) give one row per net."""
-    lead = ... if labels.ndim == 1 else np.arange(labels.shape[0])[:, None]
-    return lead, np.arange(labels.shape[-1]), labels
+def _signs(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """-2s for each label y, with s = 2y - 1: the loss is softplus(-2s z).
+    Labels of shape (n,) are shared by all stacked nets, (R, n) give one
+    row per net."""
+    labels = np.asarray(labels)
+    if labels.shape != scores.shape[scores.ndim - labels.ndim :]:
+        raise ShapeError(f"labels {labels.shape} vs scores {scores.shape}")
+    if labels.dtype.kind not in "iu" or labels.min(initial=0) < 0 or labels.max(initial=0) > 1:
+        raise ValueError("labels must be integers in [0, 2)")
+    return 2.0 - 4.0 * labels
 
 
 def per_example_loss(cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
-    """Cross-entropy loss per example: -log p(label)."""
-    s, labels = cache.scores, np.asarray(labels)
-    k = s.shape[-1]
-    if labels.shape != s.shape[-1 - labels.ndim : -1]:
-        raise ShapeError(f"labels {labels.shape} vs scores {s.shape}")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
-        raise ValueError(f"labels must lie in [0, {k})")
-    # log-sum-exp with max subtraction; loss = lse(scores) - score[label]
-    m = s.max(axis=-1)
-    lse = m + np.log(np.exp(s - m[..., None]).sum(axis=-1))
-    return lse - s[_label_index(labels)]
+    """Cross-entropy loss per example: -log p(label) = log(1 + e^{-2sz})."""
+    # -log sigma(2sz) is that softplus; log_expit, unlike logaddexp, raises
+    # no underflow where the loss is 0 or -2sz to the last bit
+    return -log_expit(_signs(cache.scores, labels) * -cache.scores)
 
 
 def weighted_backward(
@@ -213,20 +191,14 @@ def weighted_backward(
     """Gradient of sum_i omega_i * loss_i + (lam/2)*||theta||^2, flattened
     (one row per stacked net)."""
     omega = np.asarray(omega, dtype=np.float64)
-    if omega.shape != cache.scores.shape[:-1]:
+    if omega.shape != cache.scores.shape:
         raise ShapeError(f"omega {omega.shape} vs scores {cache.scores.shape}")
     if (omega < 0).any():
         raise ValueError("observation weights must be nonnegative")
 
-    d_scores = softmax_probs(cache.scores)
-    d_scores[_label_index(np.asarray(labels))] -= 1.0
-    d_scores *= omega[..., None]
-
-    if params.output == "logistic":
-        # scores are (-z, z): dz = dscore_1 - dscore_0
-        d_z = d_scores[..., 1:] - d_scores[..., :1]
-    else:
-        d_z = d_scores
+    # d/dz softplus(-2s z) = -2s sigma(-2s z)
+    signs = _signs(cache.scores, labels)
+    d_z = (signs * omega * expit(signs * cache.scores))[..., None]
 
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)

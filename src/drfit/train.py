@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BudgetError, ClassPartition, ConfigError, DrFitConfig, analytic_weights,
-                   closed_form_weights, scale_to_budgets)
+                   class_members, member_weights, scale_members)
 from .data import LabeledDataset
 from .nn import MlpParams, NumericError, mlp_forward, per_example_loss, weighted_backward
 
@@ -98,11 +98,13 @@ class TrainTrace:
 
 
 def _accuracy(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return np.mean(scores.argmax(axis=-1) == labels, axis=-1)
+    # z > 0 predicts class 1: argmax over (-z, z), whose ties (0.0, -0.0,
+    # NaN) go to class 0
+    return np.mean((scores > 0) == labels, axis=-1)
 
 
 def evaluate(params: MlpParams, ds: LabeledDataset):
-    """Fraction of examples whose highest-scoring class is the label; one
+    """Fraction of examples whose more probable class is the label; one
     per net for stacked parameters."""
     if ds.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -173,11 +175,14 @@ def train(data, dr, tr, init, val=None, test=None):
     rows = live[:, None]
     # column n of omega stays 0: padded batch entries read and write it
     omega = np.tile(np.append(rho[labels], 0.0), (len(nets), 1))
-    plan, epoch = (np.zeros((len(nets), 0)),) * 4, 0
+    plan, epoch = (np.zeros((len(nets), 0)),) * 6, 0
+    # (cache, losses) of the weight step's forward pass when one batch holds
+    # every example, in index order: the epoch end's pass at the same parameters
+    fresh = None
 
     def attempt(step):
         """step() once it returns; each failure first drops the failed nets."""
-        nonlocal live, rows, flat, params, omega, plan
+        nonlocal live, rows, flat, params, omega, plan, fresh
         while live.size:
             try:
                 return step()
@@ -189,28 +194,35 @@ def train(data, dr, tr, init, val=None, test=None):
                 keep = ~exc.bad
                 live, flat, omega = live[keep], flat[keep], omega[keep]
                 params, plan = params.unflatten(flat), tuple(a[keep] for a in plan)
-                rows = np.arange(live.size)[:, None]
+                rows, fresh = np.arange(live.size)[:, None], None
 
     def theta_step(k):
-        ix, ok, spot, lr = (a[:, k] for a in plan)
-        y = labels[ix]
+        ix, spot, lr, y, member, count = (a[:, k] for a in plan)
         cache = mlp_forward(params, features[ix])
-        omega_s = (closed_form_weights(per_example_loss(cache, y), y, rho, dr.alpha, ok)
+        omega_s = (member_weights(per_example_loss(cache, y), member, count, rho, dr.alpha)
                    if tr.solver == "analytic" else omega[rows, spot])
         grad = weighted_backward(params, cache, y, omega_s, dr.lam)
         flat[...] -= np.multiply(grad, lr[:, None], out=grad)
 
     def omega_step(k):
-        ix, ok, spot, _ = (a[:, k] for a in plan)
-        y, prev = labels[ix], omega[rows, spot]
-        fresh = per_example_loss(mlp_forward(params, features[ix]), y)
-        w = prev - tr.omega_lr * (fresh + dr.alpha * np.log(np.maximum(prev, _LOG_CLAMP)))
+        nonlocal fresh
+        ix, spot, _, y, member, count = (a[:, k] for a in plan)
+        prev = omega[rows, spot]
+        cache = mlp_forward(params, features[ix])
+        losses = per_example_loss(cache, y)
+        if n_batches == 1:
+            fresh = cache, losses
+        w = prev - tr.omega_lr * (losses + dr.alpha * np.log(np.maximum(prev, _LOG_CLAMP)))
         np.maximum(w, 0.0, out=w)
-        omega[rows, spot] = scale_to_budgets(w, y, rho, ok)
+        omega[rows, spot] = scale_members(w, member, count, rho)
 
     def epoch_end():
-        cache = mlp_forward(params, features)
-        loss = per_example_loss(cache, labels).mean(axis=-1)
+        if fresh is None:
+            cache = mlp_forward(params, features)
+            losses = per_example_loss(cache, labels)
+        else:
+            cache, losses = fresh
+        loss = losses.mean(axis=-1)
         if not np.isfinite(loss).all():
             raise NumericError("non-finite training loss", ~np.isfinite(loss))
         return [loss, _accuracy(cache.scores, labels),
@@ -219,12 +231,15 @@ def train(data, dr, tr, init, val=None, test=None):
     for epoch in range(1, tr.epochs + 1):
         update_weights = (tr.solver == "numeric" and epoch > tr.burn_in
                           and epoch % tr.update_frequency == 0)
+        fresh = None
         if epoch == 1 or n_batches > 1:  # one batch holds every example, in index order
             idx, valid = _padded([_stratified_batches(part, tr.batch_size, rngs[r]) for r in live],
                                  width)
+            y = labels[idx]
             # a net without a batch at a step skips it, ridge term included
-            plan = (idx, valid, np.where(valid, idx, labels.size),
-                    np.where(valid.any(axis=-1), tr.theta_lr, 0.0))
+            plan = (idx, np.where(valid, idx, labels.size),
+                    np.where(valid.any(axis=-1), tr.theta_lr, 0.0), y,
+                    *class_members(y, rho.size, valid))
         for k in range(plan[0].shape[1]):
             attempt(lambda: theta_step(k))
             if update_weights:

@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -58,4 +60,28 @@ def test_theory_scan_spans_fire():
         tracer.uninstall()
     calls = tracer.reduce()["calls"]
     for span in ("theory.scan", "theory.objective_1d", "theory.expect", "theory.nodes"):
+        assert calls[span] > 0, f"span {span} did not fire"
+
+
+@pytest.mark.parametrize("solver", ["analytic", "numeric"])
+def test_training_spans_fire(tmp_path, solver):
+    """A training run must keep going through every hooked name of
+    drfit.train, or the traced benchmark loses its training layers."""
+    tracing = _load_tracing()
+    cli = importlib.import_module("drfit.cli")
+    batch = 16 if solver == "analytic" else 40
+    cfg = cli.load_config(None, [
+        "kind=synthetic-train", "data.n=40", "data.hidden=[4]", "replications=2",
+        "train.epochs=3", f"train.batch_size={batch}", "train.burn_in=1",
+        f"train.solver={solver}", f"output_dir={tmp_path / solver}",
+    ])
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        cli.run_training_experiment(cfg, quiet=True)
+    finally:
+        tracer.uninstall()
+    calls = tracer.reduce()["calls"]
+    spans = ["train.train", "train.eval", "nn.forward", "nn.loss", "nn.backward", "nn.params"]
+    for span in spans + ["core.weights"] * (solver == "analytic"):
         assert calls[span] > 0, f"span {span} did not fire"

@@ -182,7 +182,7 @@ def test_out_of_range_value_exits_2_before_any_artifact(tmp_path):
         assert main(argv) == 2, bad
         assert not out.exists(), bad
     for k, bad in enumerate(["theory.nodes=0", "theory.q=0.7", "theory.alpha_step=0",
-                             "theory.alpha_lo=-1", "theory.var=0"]):
+                             "theory.alpha_lo=-1", "theory.var=0", "theory.alpha_lo=2"]):
         out = tmp_path / f"theory{k}"
         argv = ["theory", "--kind", "theory-counterexample", "--output-dir", str(out), "--set", bad]
         assert main(argv) == 2, bad
@@ -268,7 +268,9 @@ def test_validate_config_types_every_leaf_and_is_idempotent(overrides):
         node = cfg
         for p in path[:-1]:
             node = node[p]
-        node[path[-1]] = _respelled(default, step, factor, flip)
+        # alpha_hi grows where every other float shrinks: alpha_lo <= alpha_hi
+        grow = path == ("theory", "alpha_hi")
+        node[path[-1]] = _respelled(default, step, 1 / factor if grow else factor, flip)
     typed = validate_config(cfg)
     _assert_typed_like(typed, cli._DEFAULTS)
     assert json.dumps(validate_config(typed), sort_keys=True) == json.dumps(typed, sort_keys=True)

@@ -20,6 +20,8 @@ from drfit.core import (
     reduced_loss_grad,
     scale_to_budgets,
 )
+from drfit.nn import MlpParams, mlp_forward, per_example_loss
+from drfit.theory import log_sigma2
 
 
 def test_weights_hand_value_single_class():
@@ -293,3 +295,25 @@ def test_scale_to_budgets_is_idempotent(problem, data):
     once = scale_to_budgets(omega.copy(), labels, rho)
     twice = scale_to_budgets(once.copy(), labels, rho)
     np.testing.assert_allclose(twice, once, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=30),
+       alpha=st.floats(0.1, 10.0), data=st.data())
+def test_weights_of_logistic_losses_are_the_theory_weights_at_b_one_over_alpha(z, alpha, data):
+    """The logistic loss is -log sigma2(sz) with s = 2y - 1, so the weights
+    exp(-loss/alpha) of a class, normalised to its budget, are the
+    normalised powers sigma2(sz)^b with b = 1/alpha."""
+    z = np.array(z)
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=z.size,
+                                         max_size=z.size)))
+    rho = np.array(data.draw(st.lists(st.floats(0.1, 3.0), min_size=2, max_size=2)))
+    net = MlpParams(weights=[z[:, None]], biases=[np.zeros(1)])
+    losses = per_example_loss(mlp_forward(net, np.eye(z.size)), labels)
+    power = np.exp(log_sigma2((2 * labels - 1) * z) / alpha)
+    expected = np.empty_like(z)
+    for c in np.unique(labels):
+        sel = labels == c
+        expected[sel] = rho[c] * sel.sum() * power[sel] / power[sel].sum()
+    np.testing.assert_allclose(closed_form_weights(losses, labels, rho, alpha), expected,
+                               rtol=1e-9, atol=0)

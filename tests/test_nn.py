@@ -12,78 +12,104 @@ from drfit.nn import (
     init_params,
     mlp_forward,
     per_example_loss,
-    softmax_probs,
     weighted_backward,
 )
+from drfit.theory import log_sigma2
 
 
-def _seeded_net_and_batch(seed, layer_sizes, activation="relu", output="logistic"):
+def _softmax_oracle(z, labels, omega):
+    """Loss and score gradient of the two-score softmax head over (-z, z):
+    loss = logsumexp(scores) - scores[label], and dz = d_1 - d_0 for
+    d = omega * (softmax(scores) - onehot(label))."""
+    scores = np.stack([-z, z], axis=-1)
+    top = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - top)
+    lse = top[..., 0] + np.log(e.sum(axis=-1))
+    picked = np.take_along_axis(scores, labels[..., None], axis=-1)[..., 0]
+    d = e / e.sum(axis=-1, keepdims=True) - np.eye(2)[labels]
+    d *= omega[..., None]
+    return lse - picked, d[..., 1] - d[..., 0]
+
+
+def _score_net(z):
+    """A one-layer net that emits the scores z on the identity batch, so the
+    gradient of its weights is the score gradient dz itself."""
+    params = MlpParams(weights=[np.asarray(z, dtype=np.float64)[:, None]],
+                       biases=[np.zeros(1)])
+    return params, mlp_forward(params, np.eye(len(z)))
+
+
+def _seeded_net_and_batch(seed, layer_sizes, activation="relu"):
     """Net plus batch whose hidden pre-activations stay away from the relu
     kink, so finite differences of the loss are trustworthy."""
     rng = np.random.default_rng(seed)
-    params = init_params(layer_sizes, seed=seed, activation=activation, output=output)
+    params = init_params(layer_sizes, seed=seed, activation=activation)
     for _ in range(50):
         x = rng.normal(size=(6, layer_sizes[0]))
         cache = mlp_forward(params, x)
         margin = min(np.abs(z).min() for z in cache.pre_acts)
         if activation != "relu" or margin > 1e-3:
-            labels = rng.integers(params.n_classes, size=x.shape[0])
+            labels = rng.integers(2, size=x.shape[0])
             return params, x, labels
     raise AssertionError("could not find a batch clear of activation kinks")
 
 
-def _weighted_loss(params, x, labels, omega, lam):
+def _weighted_loss(params, x, labels, omega, lam, head):
     cache = mlp_forward(params, x)
-    losses = per_example_loss(cache, labels)
+    if head == "logistic":
+        losses = per_example_loss(cache, labels)
+    else:
+        losses, _ = _softmax_oracle(cache.scores, labels, omega)
     theta = params.flatten()
     return float(omega @ losses + 0.5 * lam * theta @ theta)
 
 
-def _fd_gradient(params, x, labels, omega, lam, h=1e-6):
+def _fd_gradient(params, x, labels, omega, lam, head, h=1e-6):
     theta = params.flatten()
     grad = np.empty_like(theta)
     for i in range(theta.size):
         step = np.zeros_like(theta)
         step[i] = h
-        up = _weighted_loss(params.unflatten(theta + step), x, labels, omega, lam)
-        dn = _weighted_loss(params.unflatten(theta - step), x, labels, omega, lam)
+        up = _weighted_loss(params.unflatten(theta + step), x, labels, omega, lam, head)
+        dn = _weighted_loss(params.unflatten(theta - step), x, labels, omega, lam, head)
         grad[i] = (up - dn) / (2 * h)
     return grad
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize(
-    "layer_sizes,activation,output",
+    "layer_sizes,activation,head",
     [
         ([3, 5, 1], "relu", "logistic"),
-        ([3, 4, 3], "identity", "softmax"),
+        # differences of the two-score softmax loss of the oracle, not of
+        # per_example_loss, so the gradient is checked against that head too
+        ([3, 4, 1], "identity", "softmax"),
         ([2, 1], "relu", "logistic"),
     ],
 )
-def test_backward_matches_finite_differences(seed, layer_sizes, activation, output):
-    params, x, labels = _seeded_net_and_batch(seed, layer_sizes, activation, output)
+def test_backward_matches_finite_differences(seed, layer_sizes, activation, head):
+    params, x, labels = _seeded_net_and_batch(seed, layer_sizes, activation)
     rng = np.random.default_rng(seed + 100)
     omega = rng.uniform(0.2, 2.0, size=x.shape[0])
     lam = 0.3
     cache = mlp_forward(params, x)
     grad = weighted_backward(params, cache, labels, omega, lam)
-    fd = _fd_gradient(params, x, labels, omega, lam)
+    fd = _fd_gradient(params, x, labels, omega, lam, head)
     scale = np.maximum(np.abs(fd), 1.0)
     assert np.max(np.abs(grad - fd) / scale) < 1e-5
 
 
 def test_forward_hand_value_logistic():
-    """Single linear unit: z = w.x + b, scores (-z, +z), and the label-1 loss
+    """Single linear unit: the score is z = w.x + b, and the label-1 loss
     is log(1 + e^{-2z})."""
     params = MlpParams(
         weights=[np.array([[2.0], [-1.0]])],
         biases=[np.array([0.5])],
-        output="logistic",
     )
     x = np.array([[1.0, 1.0], [0.0, 2.0]])
     cache = mlp_forward(params, x)
     z = np.array([1.5, -1.5])
-    assert np.allclose(cache.scores, np.column_stack([-z, z]))
+    assert np.allclose(cache.scores, z)
     loss1 = per_example_loss(cache, np.array([1, 1]))
     assert np.allclose(loss1, np.log1p(np.exp(-2 * z)))
     loss0 = per_example_loss(cache, np.array([0, 0]))
@@ -91,54 +117,50 @@ def test_forward_hand_value_logistic():
 
 
 def test_logistic_and_softmax_routes_agree():
-    """A logistic net and the softmax net with mirrored columns give the
-    same probabilities and losses."""
+    """The closed-form logistic loss and score gradient equal those of the
+    two-score softmax head over (-z, z)."""
     rng = np.random.default_rng(5)
-    w = rng.normal(size=(4, 1))
-    b = rng.normal(size=1)
-    x = rng.normal(size=(7, 4))
-    labels = rng.integers(2, size=7)
-    logistic = MlpParams(weights=[w], biases=[b], output="logistic")
-    softmax = MlpParams(
-        weights=[np.column_stack([-w[:, 0], w[:, 0]])],
-        biases=[np.array([-b[0], b[0]])],
-        output="softmax",
-    )
-    c1, c2 = mlp_forward(logistic, x), mlp_forward(softmax, x)
-    assert np.allclose(c1.scores, c2.scores)
-    assert np.allclose(softmax_probs(c1.scores), softmax_probs(c2.scores))
-    assert np.allclose(per_example_loss(c1, labels), per_example_loss(c2, labels))
-
-
-def test_softmax_probs_rows_sum_to_one_and_shift_invariant():
-    rng = np.random.default_rng(0)
-    scores = rng.normal(size=(5, 3)) * 50
-    p = softmax_probs(scores)
-    assert np.allclose(p.sum(axis=1), 1.0)
-    assert np.allclose(p, softmax_probs(scores + 123.0))
+    z = rng.uniform(-3.0, 3.0, size=200)
+    labels = rng.integers(2, size=200)
+    omega = rng.uniform(0.0, 2.0, size=200)
+    params, cache = _score_net(z)
+    assert np.array_equal(cache.scores, z)
+    loss, dz = _softmax_oracle(z, labels, omega)
+    assert np.allclose(per_example_loss(cache, labels), loss, rtol=1e-12, atol=0)
+    grad = weighted_backward(params, cache, labels, omega)
+    assert np.allclose(grad[:-1], dz, rtol=1e-12, atol=0)
+    assert grad[-1] == pytest.approx(dz.sum(), rel=1e-12)
 
 
 def test_loss_equals_negative_log_probability():
-    params = init_params([3, 4, 3], seed=2, output="softmax")
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(6, 3))
-    labels = rng.integers(3, size=6)
-    cache = mlp_forward(params, x)
-    p = softmax_probs(cache.scores)
-    assert np.allclose(
-        per_example_loss(cache, labels), -np.log(p[np.arange(6), labels])
-    )
+    """loss = -log sigma2(sz) with s = 2y - 1, sigma2(t) = e^t / (e^t + e^-t),
+    the class probability of the theory module; loss and score gradient stay
+    finite, with no floating-point exception, far out in both tails."""
+    z = np.array([-800.0, -40.0, -3.0, -0.0, 0.0, 1e-300, 2.5, 40.0, 800.0])
+    params, cache = _score_net(np.concatenate([z, z]))
+    labels = np.repeat([0, 1], z.size)
+    s = 2 * labels - 1
+    omega = np.ones(labels.size)
+    with np.errstate(all="raise"):
+        loss = per_example_loss(cache, labels)
+        grad = weighted_backward(params, cache, labels, omega)
+    assert np.all(np.isfinite(loss)) and np.all(np.isfinite(grad))
+    assert np.allclose(loss, -log_sigma2(s * cache.scores), rtol=1e-12, atol=0)
+    # at z = -800 and 800: label 0, label 0, label 1, label 1
+    far = [0, z.size - 1, z.size, -1]
+    assert loss[far].tolist() == [0.0, 1600.0, 1600.0, 0.0]
+    assert grad[:-1][far].tolist() == [0.0, 2.0, -2.0, 0.0]
 
 
 def test_flatten_unflatten_roundtrip():
-    params = init_params([4, 6, 2], seed=9, output="softmax")
+    params = init_params([4, 6, 1], seed=9)
     vec = params.flatten()
     back = params.unflatten(vec)
     for w1, w2 in zip(params.weights, back.weights):
         assert np.array_equal(w1, w2)
     for b1, b2 in zip(params.biases, back.biases):
         assert np.array_equal(b1, b2)
-    assert params.n_params == vec.size == 4 * 6 + 6 + 6 * 2 + 2
+    assert params.n_params == vec.size == 4 * 6 + 6 + 6 * 1 + 1
 
 
 def test_init_params_is_seeded_and_biases_zero():
@@ -160,14 +182,17 @@ def test_shape_and_label_errors():
     cache = mlp_forward(params, np.zeros((4, 3)))
     with pytest.raises(ValueError):
         per_example_loss(cache, np.array([0, 1, 2, 0]))
+    with pytest.raises(ValueError):  # a label must be a class, not a probability
+        weighted_backward(params, cache, np.array([0.0, 0.5, 1.0, 1.0]), np.ones(4))
     with pytest.raises(ShapeError):
         MlpParams(weights=[np.zeros((3, 2))], biases=[np.zeros(3)])
     with pytest.raises(ShapeError):
         MlpParams(
             weights=[np.zeros((3, 2)), np.zeros((4, 1))],
             biases=[np.zeros(2), np.zeros(1)],
-            output="logistic",
         )
+    with pytest.raises(ShapeError):  # the logistic head has one final unit
+        MlpParams(weights=[np.zeros((3, 2))], biases=[np.zeros(2)])
 
 
 def test_nonfinite_activations_raise():
@@ -178,21 +203,20 @@ def test_nonfinite_activations_raise():
 
 
 @pytest.mark.parametrize(
-    "layer_sizes,activation,output",
-    [([3, 5, 1], "relu", "logistic"), ([3, 4, 3], "identity", "softmax")],
+    "layer_sizes,activation",
+    [([3, 5, 1], "relu"), ([3, 4, 1], "identity")],
+    ids=["layer_sizes0-relu-logistic", "layer_sizes1-identity-logistic"],
 )
-def test_stacked_kernels_equal_the_per_net_calls(layer_sizes, activation, output):
+def test_stacked_kernels_equal_the_per_net_calls(layer_sizes, activation):
     """Nets stacked on a leading axis give, slice by slice, the forward
     pass, losses and gradients of the nets one at a time, both with one
     batch per net and with one batch shared by all of them."""
     rng = np.random.default_rng(7)
-    nets = [init_params(layer_sizes, seed=s, activation=activation, output=output)
-            for s in range(3)]
+    nets = [init_params(layer_sizes, seed=s, activation=activation) for s in range(3)]
     flat = np.stack([p.flatten() for p in nets])
     stacked = nets[0].unflatten(flat)
-    k = nets[0].n_classes
     x = rng.normal(size=(3, 6, layer_sizes[0]))
-    labels = rng.integers(k, size=(3, 6))
+    labels = rng.integers(2, size=(3, 6))
     omega = rng.uniform(0.0, 2.0, size=(3, 6))
     cache = mlp_forward(stacked, x)
     losses = per_example_loss(cache, labels)

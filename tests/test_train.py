@@ -6,6 +6,8 @@ import types
 
 import numpy as np
 import pytest
+
+import drfit.train as train_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from drfit.train import (
     RenormError,
     TrainConfig,
     TrainingError,
+    _accuracy,
     _stratified_batches,
     evaluate,
     mean_loss,
@@ -262,6 +265,42 @@ def test_evaluate_and_mean_loss():
     empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
         evaluate(params, empty)
+
+
+def test_accuracy_breaks_ties_like_argmax_over_two_scores():
+    """z > 0 predicts class 1, as argmax over the scores (-z, z) does,
+    whose ties at 0.0, -0.0 and NaN go to the first score, class 0."""
+    z = np.array([0.0, -0.0, 1e-300, -1e-300, np.nan, 2.0, -2.0])
+    argmax = np.stack([-z, z], axis=-1).argmax(axis=-1)
+    for y in (0, 1):
+        labels = np.full(z.size, y)
+        for k in range(z.size):
+            assert _accuracy(z[k : k + 1], labels[k : k + 1]) == (argmax[k] == y)
+        assert _accuracy(z, labels) == np.mean(argmax == y)
+
+
+def test_one_batch_numeric_epoch_reuses_the_weight_step_pass(monkeypatch):
+    """With one batch per epoch the epoch end takes the training loss and
+    accuracy from the weight step's forward pass at the same parameters:
+    one pass fewer per weight step, with the values a fresh pass gives, also
+    in the epochs between weight steps."""
+    ds = _toy_data(n=40)
+    dr = DrFitConfig(alpha=0.5, lam=0.0, rho=(1.25, 5.0 / 6.0))
+    init = init_params([2, 4, 1], seed=5)
+    calls = []
+    forward = train_module.mlp_forward
+    monkeypatch.setattr(train_module, "mlp_forward",
+                        lambda params, batch: calls.append(1) or forward(params, batch))
+    for epochs in range(1, 7):
+        tr = TrainConfig(epochs=epochs, batch_size=40, theta_lr=0.01, omega_lr=0.1,
+                         burn_in=1, update_frequency=2, seed=3, solver="numeric")
+        calls.clear()
+        params, _, trace = train(ds, dr, tr, init)
+        # each epoch: a step, then a weight step or an epoch-end pass
+        assert len(calls) == 2 * epochs
+        last = trace.records[-1]
+        assert last.train_loss == mean_loss(params, ds)
+        assert last.train_acc == evaluate(params, ds)
 
 
 def test_train_config_validation():
