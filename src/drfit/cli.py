@@ -42,15 +42,8 @@ from .data import (
     synthetic_gaussian_2class,
 )
 from .nn import init_params
-from .train import TrainConfig, TrainingError, train
-from .metrics import (
-    crash_detector,
-    detection_auc,
-    separation_curve,
-    weight_histogram,
-    write_curve_csv,
-    write_histogram_csv,
-)
+from .train import TRACE_COLUMNS, TrainConfig, TrainingError, train
+from .metrics import crash_detector, detection_auc, separation_curve, weight_histogram
 
 DATA_ROOT_ENV = "DRFIT_DATA_ROOT"
 
@@ -350,28 +343,37 @@ def _replacing(path):
         tmp.unlink(missing_ok=True)
 
 
-def _write_trace_csv(trace, path) -> None:
+def _write_csv(path, header, rows) -> None:
     with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["epoch", "train_loss", "train_acc", "val_acc", "test_acc"])
-        for r in trace.records:
-            w.writerow(
-                [
-                    r.epoch,
-                    repr(r.train_loss),
-                    repr(r.train_acc),
-                    "" if r.val_acc is None else repr(r.val_acc),
-                    "" if r.test_acc is None else repr(r.test_acc),
-                ]
-            )
+        w.writerow(header)
+        w.writerows(rows)
 
 
-def _write_omega_csv(omega: np.ndarray, path) -> None:
-    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "omega"])
-        for i, v in enumerate(omega):
-            w.writerow([i, repr(float(v))])
+def _write_json(path, obj) -> None:
+    with _replacing(path) as tmp, open(tmp, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+
+
+def _epoch_rows(trace: dict):
+    """One CSV row per epoch of a trace's (epochs,) columns, blank for a
+    column the trace lacks; no rows for an empty dict."""
+    for e in range(len(trace.get("train_loss", ()))):
+        yield [e + 1, *(repr(float(trace[k][e])) if k in trace else "" for k in TRACE_COLUMNS)]
+
+
+def _write_detection(out: Path, omega, mask, bins: int = 50) -> None:
+    """weight_histogram.csv and separation_curve.csv of the weights, in out."""
+    hist = weight_histogram(omega, mask, bins)
+    edges = list(map(repr, hist.edges.tolist()))
+    _write_csv(out / "weight_histogram.csv",
+               ["bin_lo", "bin_hi", "correct_count", "mislabelled_count"],
+               zip(edges, edges[1:], hist.correct_counts.tolist(),
+                   hist.mislabelled_counts.tolist()))
+    curve = separation_curve(omega, mask)
+    _write_csv(out / "separation_curve.csv", ["threshold", "correct_kept", "mislabelled_caught"],
+               zip(*(map(repr, a.tolist())
+                     for a in (curve.thresholds, curve.correct_kept, curve.mislabelled_caught))))
 
 
 def _read_omega_csv(path) -> np.ndarray:
@@ -388,8 +390,7 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     digest = config_digest(cfg)
-    with _replacing(out / "resolved_config.json") as tmp, open(tmp, "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+    _write_json(out / "resolved_config.json", cfg)
 
     train_ds, val_ds, test_ds = build_datasets(cfg)
     if train_ds.mislabel_mask is not None:
@@ -426,23 +427,21 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
             failures.append(record)
         else:
             _, omega, trace = result
-            _write_trace_csv(trace, run_dir / "trace.csv")
-            _write_omega_csv(omega, run_dir / "omega.csv")
+            _write_csv(run_dir / "trace.csv", ["epoch", *TRACE_COLUMNS], _epoch_rows(trace))
+            _write_csv(run_dir / "omega.csv", ["index", "omega"],
+                       enumerate(map(repr, map(float, omega))))
             omegas.append(omega)
-            record["crash"] = (
-                crash_detector(trace, 0.5) if len(trace) and val_ds is not None else False
-            )
-            if len(trace):
-                tests = [x for x in trace.column("test_acc") if x is not None]
-                vals = [x for x in trace.column("val_acc") if x is not None]
-                record["final_test_acc"] = tests[-1] if tests else None
-                record["peak_test_acc"] = max(tests) if tests else None
-                record["final_val_acc"] = vals[-1] if vals else None
+            # the validation set is always carved out; the test set may be absent
+            record["crash"] = base.epochs > 0 and crash_detector(trace["val_acc"], 0.5)
+            if base.epochs:
+                record["final_val_acc"] = float(trace["val_acc"][-1])
+            if base.epochs and "test_acc" in trace:
+                record["final_test_acc"] = float(trace["test_acc"][-1])
+                record["peak_test_acc"] = float(trace["test_acc"].max())
             if train_ds.mislabel_mask is not None and train_ds.mislabel_mask.any():
                 record["detection_auc"] = detection_auc(omega, train_ds.mislabel_mask)
             runs.append((trace, record))
-        with _replacing(run_dir / "record.json") as tmp, open(tmp, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
+        _write_json(run_dir / "record.json", record)
         if not quiet:
             status = record["error"] or f"final test acc {record['final_test_acc']}"
             print(f"run seed={seed}: {status}")
@@ -454,20 +453,11 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
 
 
 def _aggregate_training(cfg, out: Path, train_ds, runs, omegas, failures) -> dict:
-    n_epochs = cfg["train"]["epochs"]
-    with _replacing(out / "accuracy_by_epoch.csv") as tmp, open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "mean_train_loss", "mean_train_acc", "mean_val_acc", "mean_test_acc"])
-        for e in range(1, n_epochs + 1):
-            recs = [t.records[e - 1] for t, _ in runs if len(t.records) >= e]
-            if not recs:
-                continue
-
-            def m(attr):
-                vals = [getattr(r, attr) for r in recs]
-                return "" if any(v is None for v in vals) else repr(float(np.mean(vals)))
-
-            w.writerow([e, m("train_loss"), m("train_acc"), m("val_acc"), m("test_acc")])
+    # np.mean's pairwise sum over a contiguous run axis, as for one epoch's list
+    means = {k: np.stack([t[k] for t, _ in runs], axis=-1).mean(axis=-1)
+             for k in (runs[0][0] if runs else ())}
+    _write_csv(out / "accuracy_by_epoch.csv", ["epoch", *(f"mean_{k}" for k in TRACE_COLUMNS)],
+               _epoch_rows(means))
 
     summary = {
         "digest": config_digest(cfg),
@@ -493,28 +483,17 @@ def _aggregate_training(cfg, out: Path, train_ds, runs, omegas, failures) -> dic
     mask = train_ds.mislabel_mask
     if omegas and mask is not None and mask.any():
         mean_omega = np.mean(np.stack(omegas), axis=0)
-        with _replacing(out / "weight_histogram.csv") as tmp:
-            write_histogram_csv(weight_histogram(mean_omega, mask), tmp)
-        with _replacing(out / "separation_curve.csv") as tmp:
-            write_curve_csv(separation_curve(mean_omega, mask), tmp)
+        _write_detection(out, mean_omega, mask)
         summary["mean_weight_auc"] = detection_auc(mean_omega, mask)
         order = np.argsort(mean_omega)
         k = min(10, len(order))
-        with _replacing(out / "extreme_examples.csv") as tmp, open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rank", "kind", "index", "mean_omega", "label", "true_label"])
-            for rank, i in enumerate(order[:k]):
-                w.writerow(
-                    ["%d" % rank, "lowest", int(i), repr(float(mean_omega[i])),
-                     int(train_ds.labels[i]), int(train_ds.true_labels[i])]
-                )
-            for rank, i in enumerate(order[::-1][:k]):
-                w.writerow(
-                    ["%d" % rank, "highest", int(i), repr(float(mean_omega[i])),
-                     int(train_ds.labels[i]), int(train_ds.true_labels[i])]
-                )
-    with _replacing(out / "summary.json") as tmp, open(tmp, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        _write_csv(out / "extreme_examples.csv",
+                   ["rank", "kind", "index", "mean_omega", "label", "true_label"],
+                   ([rank, kind, i, repr(float(mean_omega[i])), int(train_ds.labels[i]),
+                     int(train_ds.true_labels[i])]
+                    for kind, ends in (("lowest", order[:k]), ("highest", order[::-1][:k]))
+                    for rank, i in enumerate(ends.tolist())))
+    _write_json(out / "summary.json", summary)
     return summary
 
 
@@ -659,15 +638,10 @@ def run_theory_report(cfg: dict) -> list[dict]:
         raise ConfigError(f"kind {kind} is not a theory scenario")
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    with _replacing(out / "resolved_config.json") as tmp, open(tmp, "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-    with _replacing(out / "report.json") as tmp, open(tmp, "w") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True)
-    with _replacing(out / "report.csv") as tmp, open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["key", "value", "target", "tolerance", "pass"])
-        for e in entries:
-            w.writerow([e["key"], e["value"], e["target"], e["tolerance"], e["pass"]])
+    _write_json(out / "resolved_config.json", cfg)
+    _write_json(out / "report.json", entries)
+    _write_csv(out / "report.csv", ["key", "value", "target", "tolerance", "pass"],
+               ([e["key"], e["value"], e["target"], e["tolerance"], e["pass"]] for e in entries))
     for e in entries:
         if e["pass"] is None:
             print(f"INFO {e['key']} = {e['value']}")
@@ -715,23 +689,13 @@ def run_sweep(cfg: dict) -> dict:
             key = (row["mean_val_acc"], row["alpha"], row["lam"])
             if best is None or key > (best["mean_val_acc"], best["alpha"], best["lam"]):
                 best = row
-    with _replacing(out / "sweep_table.csv") as tmp, open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha", "lam", "mean_val_acc", "crashes", "runs", "all_crashed"])
-        for r in rows:
-            w.writerow(
-                [
-                    repr(r["alpha"]),
-                    repr(r["lam"]),
-                    "" if r["mean_val_acc"] is None else repr(r["mean_val_acc"]),
-                    r["crashes"],
-                    r["runs"],
-                    r["all_crashed"],
-                ]
-            )
+    _write_csv(out / "sweep_table.csv",
+               ["alpha", "lam", "mean_val_acc", "crashes", "runs", "all_crashed"],
+               ([repr(r["alpha"]), repr(r["lam"]),
+                 "" if r["mean_val_acc"] is None else repr(r["mean_val_acc"]),
+                 r["crashes"], r["runs"], r["all_crashed"]] for r in rows))
     result = {"best": best, "table": rows}
-    with _replacing(out / "best.json") as tmp, open(tmp, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
+    _write_json(out / "best.json", result)
     if best is None:
         print("sweep: every grid point crashed or failed")
     else:
@@ -744,6 +708,8 @@ def run_sweep(cfg: dict) -> dict:
 # detect and mnist-prep
 
 def run_detect(run_dir: str, snapshot: str, bins: int = 50) -> dict:
+    if bins < 2:
+        raise ConfigError("--bins must be at least 2")
     run = Path(run_dir)
     omega_file = run / "omega.csv"
     if not omega_file.exists():
@@ -755,10 +721,7 @@ def run_detect(run_dir: str, snapshot: str, bins: int = 50) -> dict:
     if len(omega) != ds.n:
         raise DataError("weights and snapshot have different lengths")
     auc = detection_auc(omega, ds.mislabel_mask)
-    with _replacing(run / "weight_histogram.csv") as tmp:
-        write_histogram_csv(weight_histogram(omega, ds.mislabel_mask, bins), tmp)
-    with _replacing(run / "separation_curve.csv") as tmp:
-        write_curve_csv(separation_curve(omega, ds.mislabel_mask), tmp)
+    _write_detection(run, omega, ds.mislabel_mask, bins)
     print(f"detection AUC {auc:.4f}")
     return {"auc": auc}
 
@@ -829,7 +792,11 @@ def main(argv=None) -> int:
             cfg = _resolved(args)
             if cfg.get("kind") is None:
                 cfg["kind"] = "synthetic-train"
-            run_training_experiment(cfg)
+            summary = run_training_experiment(cfg)
+            if summary["runs"] == 0:
+                print(f"training error: all {summary['failures']} replications failed",
+                      file=sys.stderr)
+                return 4
         elif args.command == "theory":
             run_theory_report(_resolved(args))
         elif args.command == "sweep":
@@ -850,9 +817,6 @@ def main(argv=None) -> int:
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except TrainingError as exc:
-        print(f"training error: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

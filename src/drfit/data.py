@@ -79,9 +79,6 @@ class LabeledDataset:
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1 if self.n else 0
 
-    def class_counts(self, n_classes: int | None = None) -> np.ndarray:
-        return np.bincount(self.labels, minlength=n_classes or self.n_classes)
-
     def subset(self, idx) -> "LabeledDataset":
         idx = np.asarray(idx)
         return LabeledDataset(

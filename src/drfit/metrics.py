@@ -5,12 +5,9 @@ curves, mislabel-detection AUC, and crash detection on accuracy traces.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-
-from .train import TrainTrace
 
 
 class UndefinedAucError(ValueError):
@@ -36,16 +33,6 @@ class SeparationCurve:
     thresholds: np.ndarray
     correct_kept: np.ndarray
     mislabelled_caught: np.ndarray
-
-    def best_pair(self) -> tuple[float, float, float]:
-        """(t, kept, caught) maximising min(kept, caught)."""
-        score = np.minimum(self.correct_kept, self.mislabelled_caught)
-        i = int(np.argmax(score))
-        return (
-            float(self.thresholds[i]),
-            float(self.correct_kept[i]),
-            float(self.mislabelled_caught[i]),
-        )
 
 
 def _split_groups(omega, mask):
@@ -110,39 +97,10 @@ def detection_auc(omega, mask) -> float:
     return float(u / (correct.size * wrong.size))
 
 
-def crash_detector(trace: TrainTrace, chance: float, window: float = 0.5, tol: float = 0.02) -> bool:
-    """True when validation accuracy sits within tol of the chance level
-    for the entire final `window` fraction of epochs."""
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
-    vals = trace.column("val_acc")
-    if any(v is None for v in vals):
-        raise ValueError("trace has no validation accuracy")
+def crash_detector(vals, chance: float, window: float = 0.5, tol: float = 0.02) -> bool:
+    """True when the validation accuracies, one per epoch, sit within tol of
+    the chance level for the entire final `window` fraction of epochs."""
+    if len(vals) == 0:
+        raise ValueError("no validation accuracies")
     tail = vals[int(len(vals) * (1.0 - window)):]
     return all(abs(v - chance) <= tol for v in tail)
-
-
-# ---------------------------------------------------------------------------
-# CSV emission for external plotting
-
-def write_histogram_csv(hist: WeightHistogram, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_lo", "bin_hi", "correct_count", "mislabelled_count"])
-        for i in range(len(hist.correct_counts)):
-            w.writerow(
-                [
-                    repr(float(hist.edges[i])),
-                    repr(float(hist.edges[i + 1])),
-                    int(hist.correct_counts[i]),
-                    int(hist.mislabelled_counts[i]),
-                ]
-            )
-
-
-def write_curve_csv(curve: SeparationCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["threshold", "correct_kept", "mislabelled_caught"])
-        for t, a, b in zip(curve.thresholds, curve.correct_kept, curve.mislabelled_caught):
-            w.writerow([repr(float(t)), repr(float(a)), repr(float(b))])

@@ -12,9 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit
 
-ACTIVATIONS = ("relu", "identity")
-
-
 class ShapeError(ValueError):
     pass
 
@@ -35,7 +32,7 @@ def _raise_nonfinite(x: np.ndarray, what: str, layer: int) -> None:
 
 @dataclass
 class MlpParams:
-    """Weights and biases of a dense feed-forward net.
+    """Weights and biases of a dense feed-forward net with relu hidden units.
 
     weights[i] has shape (n_in, n_out); biases[i] has shape (n_out,).
     R nets stacked carry a leading axis: (R, n_in, n_out) and (R, n_out).
@@ -46,13 +43,10 @@ class MlpParams:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "relu"
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ShapeError("need one bias vector per weight matrix")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -95,21 +89,13 @@ class MlpParams:
             weights.append(vec[..., k : k + n_w].reshape(*vec.shape[:-1], *w.shape[-2:]))
             biases.append(vec[..., k + n_w : k + n_w + b.shape[-1]])
             k += n_w + b.shape[-1]
-        return MlpParams(weights, biases, self.activation)
+        return MlpParams(weights, biases)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
+        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
-def init_params(
-    layer_sizes: list[int],
-    seed: int,
-    activation: str = "relu",
-) -> MlpParams:
+def init_params(layer_sizes: list[int], seed: int) -> MlpParams:
     """Seeded He-style uniform initialisation, zero biases."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -117,7 +103,7 @@ def init_params(
         limit = np.sqrt(6.0 / n_in)
         weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)))
         biases.append(np.zeros(n_out))
-    return MlpParams(weights, biases, activation)
+    return MlpParams(weights, biases)
 
 
 @dataclass
@@ -128,18 +114,6 @@ class ForwardCache:
     pre_acts: list[np.ndarray]
     acts: list[np.ndarray]
     scores: np.ndarray  # (..., n) the final unit z of each example
-
-
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return z > 0.0  # multiplies as 1.0 and 0.0
-    return np.ones_like(z)
 
 
 def mlp_forward(params: MlpParams, batch: np.ndarray) -> ForwardCache:
@@ -157,7 +131,7 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> ForwardCache:
         z += b[..., None, :]
         _raise_nonfinite(z, "pre-activation", i)
         pre_acts.append(z)
-        a = z if i == last else _activate(z, params.activation)
+        a = z if i == last else np.maximum(z, 0.0)
         acts.append(a)
     return ForwardCache(inputs=x, pre_acts=pre_acts, acts=acts, scores=pre_acts[-1][..., 0])
 
@@ -209,7 +183,7 @@ def weighted_backward(
         _raise_nonfinite(grads_w[i], "gradient", i)
         if i > 0:
             d_a = d_z @ params.weights[i].swapaxes(-1, -2)
-            d_z = d_a * _activate_grad(cache.pre_acts[i - 1], params.activation)
+            d_z = d_a * (cache.pre_acts[i - 1] > 0.0)  # the relu derivative, as 1.0 and 0.0
 
     parts = []
     for gw, gb in zip(grads_w, grads_b):

@@ -20,7 +20,7 @@ All randomness flows from TrainConfig.seed; traces are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .nn import MlpParams, NumericError, mlp_forward, per_example_loss, weighted
 _LOG_CLAMP = 1e-8
 
 SOLVERS = ("analytic", "numeric", "plain")
+
+TRACE_COLUMNS = ("train_loss", "train_acc", "val_acc", "test_acc")
 
 
 class TrainingError(RuntimeError):
@@ -72,29 +74,6 @@ class TrainConfig:
             raise ConfigError("burn_in must be nonnegative")
         if self.solver not in SOLVERS:
             raise ConfigError(f"solver must be one of {SOLVERS}")
-
-
-@dataclass(frozen=True)
-class EpochRecord:
-    epoch: int
-    train_loss: float
-    train_acc: float
-    val_acc: float | None = None
-    test_acc: float | None = None
-
-
-@dataclass
-class TrainTrace:
-    records: list[EpochRecord] = field(default_factory=list)
-
-    def append(self, rec: EpochRecord) -> None:
-        self.records.append(rec)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.records]
 
 
 def _accuracy(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -155,9 +134,10 @@ def train(data, dr, tr, init, val=None, test=None):
     together as one stack, net r drawing its batches from default_rng(tr.seed + r).
     For one net, returns the final parameters, the final weights (one per
     example; for the analytic solver the closed form at the final losses) and
-    the per-epoch trace, or raises TrainingError. For a list, returns one such
-    triple or TrainingError per net; a failed net leaves the stack, and the
-    others go on exactly as they would without it."""
+    the per-epoch trace, a dict of (epochs,) arrays: train_loss, train_acc and,
+    for the sets given, val_acc and test_acc; or raises TrainingError. For a
+    list, returns one such triple or TrainingError per net; a failed net leaves
+    the stack, and the others go on exactly as they would without it."""
     if data.n == 0:
         raise ValueError("training data is empty")
     nets = [init] if isinstance(init, MlpParams) else list(init)
@@ -168,7 +148,9 @@ def train(data, dr, tr, init, val=None, test=None):
     # keeps each net's arithmetic independent of the others in the stack
     width = sum(-(-ix.size // n_batches) for ix in part.classes)
     rngs = [np.random.default_rng(tr.seed + r) for r in range(len(nets))]
-    traces, results = [TrainTrace() for _ in nets], [None] * len(nets)
+    results = [None] * len(nets)
+    names = [k for k, ds in zip(TRACE_COLUMNS, (data, data, val, test)) if ds is not None]
+    history = np.zeros((len(names), len(nets), tr.epochs))
     # one row of flat per net; params are views of it, so one subtraction steps them all
     flat = np.stack([p.flatten() for p in nets])
     live, params = np.arange(len(nets)), nets[0].unflatten(flat)
@@ -226,7 +208,7 @@ def train(data, dr, tr, init, val=None, test=None):
         if not np.isfinite(loss).all():
             raise NumericError("non-finite training loss", ~np.isfinite(loss))
         return [loss, _accuracy(cache.scores, labels),
-                *(evaluate(params, ds) if ds is not None else None for ds in (val, test))]
+                *(evaluate(params, ds) for ds in (val, test) if ds is not None)]
 
     for epoch in range(1, tr.epochs + 1):
         update_weights = (tr.solver == "numeric" and epoch > tr.burn_in
@@ -247,15 +229,14 @@ def train(data, dr, tr, init, val=None, test=None):
         columns = attempt(epoch_end)
         if columns is None:
             break
-        for j, r in enumerate(live):
-            traces[r].append(EpochRecord(epoch, *(None if c is None else float(c[j])
-                                                  for c in columns)))
+        history[:, live, epoch - 1] = columns
 
     if tr.solver == "analytic":
         omega = attempt(lambda: analytic_weights(
             per_example_loss(mlp_forward(params, features), labels), part, dr))
     for j, r in enumerate(live):
-        results[r] = (params.unflatten(flat[j]).copy(), omega[j, : labels.size], traces[r])
+        results[r] = (params.unflatten(flat[j]).copy(), omega[j, : labels.size],
+                      dict(zip(names, history[:, r])))
     if isinstance(init, MlpParams) and isinstance(results[0], TrainingError):
         raise results[0]
     return results[0] if isinstance(init, MlpParams) else results

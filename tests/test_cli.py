@@ -371,24 +371,25 @@ def test_replications_share_one_stacked_run(tmp_path):
 
 
 def test_trace_and_aggregate_schemas(tmp_path):
-    cfg = _synth_cfg(tmp_path)
+    cfg = _synth_cfg(tmp_path, replications=8)
     run_training_experiment(cfg, quiet=True)
     run_dirs = sorted(Path(tmp_path).glob("*-seed*"))
-    assert len(run_dirs) == 2
-    with open(run_dirs[0] / "trace.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == ["epoch", "train_loss", "train_acc", "val_acc", "test_acc"]
-    assert len(rows) == 3
+    assert len(run_dirs) == 8
+    traces = []
+    for run_dir in run_dirs:
+        with open(run_dir / "trace.csv", newline="") as fh:
+            traces.append(list(csv.DictReader(fh)))
+    columns = ["train_loss", "train_acc", "val_acc", "test_acc"]
+    assert list(traces[0][0]) == ["epoch", *columns]
+    assert all(len(rows) == 3 for rows in traces)
     with open(Path(tmp_path) / "accuracy_by_epoch.csv", newline="") as fh:
         agg = list(csv.DictReader(fh))
-    assert list(agg[0]) == [
-        "epoch",
-        "mean_train_loss",
-        "mean_train_acc",
-        "mean_val_acc",
-        "mean_test_acc",
-    ]
+    assert list(agg[0]) == ["epoch", *(f"mean_{k}" for k in columns)]
     assert [r["epoch"] for r in agg] == ["1", "2", "3"]
+    # each cell is np.mean of the runs' values, summed in its pairwise order
+    for e, row in enumerate(agg):
+        for k in columns:
+            assert row[f"mean_{k}"] == repr(float(np.mean([float(t[e][k]) for t in traces])))
     resolved = json.loads((Path(tmp_path) / "resolved_config.json").read_text())
     assert resolved["kind"] == "synthetic-train"
     assert config_digest(resolved) == config_digest(cfg)
@@ -491,6 +492,18 @@ def test_detect_recovers_recorded_auc(tmp_path):
     assert (run_dir / "separation_curve.csv").exists()
 
 
+def test_detect_with_too_few_bins_exits_2_and_writes_nothing(tmp_path):
+    run_training_experiment(_synth_cfg(tmp_path, replications=1), quiet=True)
+    run_dir = next(Path(tmp_path).glob("*-seed*"))
+    before = sorted(p.name for p in run_dir.iterdir())
+    snapshot = str(Path(tmp_path) / "train_snapshot.csv")
+    assert main(["detect", str(run_dir), snapshot, "--bins", "1"]) == 2
+    assert sorted(p.name for p in run_dir.iterdir()) == before
+    assert "weight_histogram.csv" not in before
+    # the bin check comes before any file is read
+    assert main(["detect", str(tmp_path / "missing"), snapshot, "--bins", "1"]) == 2
+
+
 def test_mnist_prep_snapshot_roundtrip(tmp_path):
     root, _ = mnist_root()
     snap = tmp_path / "snap.csv"
@@ -565,3 +578,26 @@ def test_exit_codes():
         )
         == 3
     )
+
+
+def test_exit_code_4_only_when_no_replication_finishes(tmp_path, capsys):
+    """Every replication clips a class to zero weight: the artifacts are
+    written and the exit is 4. Two failures out of six exit 0."""
+    numeric = ["train", "--kind", "synthetic-train", "--set", "data.n=120",
+               "--set", "train.solver=numeric", "--set", "train.burn_in=1",
+               "--set", "train.batch_size=40"]
+    out = tmp_path / "all"
+    code = main([*numeric, "--set", "train.epochs=3", "--set", "train.omega_lr=5",
+                 "--set", "replications=2", "--output-dir", str(out)])
+    assert code == 4
+    assert "training error:" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["runs"] == 0 and summary["failures"] == 2
+    out = tmp_path / "some"
+    code = main([*numeric, "--set", "train.epochs=6", "--set", "train.omega_lr=0.85",
+                 "--set", "train.theta_lr=0.06", "--set", "data.mu=[0.5,0.5]",
+                 "--set", "noise.rates=[0.2,0.2]", "--set", "noise.seed=1",
+                 "--set", "replications=6", "--output-dir", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["runs"] == 4 and summary["failures"] == 2

@@ -108,7 +108,7 @@ def test_prepare_ones_vs_sevens_maps_labels():
     assert ds.n == 6
     assert ds.n_features == 196
     assert np.array_equal(np.sort(np.unique(ds.labels)), [0, 1])
-    assert ds.class_counts().tolist() == [3, 3]
+    assert np.bincount(ds.labels).tolist() == [3, 3]
     with pytest.raises(DataError):
         prepare_ones_vs_sevens(images, np.full(8, 3))
 
@@ -233,7 +233,7 @@ def test_synthetic_gaussian_shape_and_mirror():
     cov = np.array([[1.0, 0.3], [0.3, 1.0]])
     ds = synthetic_gaussian_2class(4000, mu, cov, seed=7)
     assert ds.n == 4000
-    assert ds.class_counts().tolist() == [2000, 2000]
+    assert np.bincount(ds.labels).tolist() == [2000, 2000]
     m1 = ds.features[ds.labels == 1].mean(axis=0)
     m0 = ds.features[ds.labels == 0].mean(axis=0)
     assert np.all(np.abs(m1 - mu) < 0.1)
@@ -253,8 +253,8 @@ def test_stratified_split_sizes_and_disjointness():
     ds = _balanced_ds(100)
     train, val = stratified_split(ds, [0.9, 0.1], seed=1)
     assert train.n == 180 and val.n == 20
-    assert train.class_counts().tolist() == [90, 90]
-    assert val.class_counts().tolist() == [10, 10]
+    assert np.bincount(train.labels).tolist() == [90, 90]
+    assert np.bincount(val.labels).tolist() == [10, 10]
     key = lambda d: {tuple(row) for row in d.features}
     assert key(train) | key(val) == key(ds)
     assert not key(train) & key(val)

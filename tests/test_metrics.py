@@ -13,10 +13,8 @@ from drfit.metrics import (
     detection_auc,
     separation_curve,
     weight_histogram,
-    write_curve_csv,
-    write_histogram_csv,
 )
-from drfit.train import EpochRecord, TrainTrace
+from drfit.cli import _write_detection
 
 
 def _pairwise_auc(omega, mask):
@@ -111,9 +109,9 @@ def test_separation_curve_perfect_split():
     omega = np.array([0.1, 0.2, 1.0, 1.1, 1.2])
     mask = np.array([True, True, False, False, False])
     curve = separation_curve(omega, mask)
-    t, kept, caught = curve.best_pair()
-    assert kept == 1.0 and caught == 1.0
-    assert 0.2 < t <= 1.0
+    perfect = (curve.correct_kept == 1.0) & (curve.mislabelled_caught == 1.0)
+    assert perfect.any()
+    assert np.all((curve.thresholds[perfect] > 0.2) & (curve.thresholds[perfect] <= 1.0))
 
 
 def test_separation_curve_explicit_thresholds():
@@ -151,45 +149,43 @@ def test_histogram_handles_all_zero_weights():
     assert hist.correct_counts.sum() == 2
 
 
-def _trace(vals):
-    t = TrainTrace()
-    for i, v in enumerate(vals, start=1):
-        t.append(EpochRecord(epoch=i, train_loss=0.5, train_acc=0.9, val_acc=v))
-    return t
-
-
 def test_crash_detector_window_rule():
     # accuracy pinned at chance over the whole back half of the run
     crashed = [0.9] * 40 + [0.5] * 60
-    assert crash_detector(_trace(crashed), chance=0.5)
+    assert crash_detector(crashed, chance=0.5)
     healthy = [0.6] * 30 + [0.9] * 70
-    assert not crash_detector(_trace(healthy), chance=0.5)
+    assert not crash_detector(healthy, chance=0.5)
     # a dip that recovers before the window is not a crash
     recovered = [0.5] * 60 + [0.9] * 40
-    assert not crash_detector(_trace(recovered), chance=0.5)
+    assert not crash_detector(np.array(recovered), chance=0.5)
     # near-chance within tolerance still counts
     wobbling = [0.9] * 50 + [0.51, 0.49] * 25
-    assert crash_detector(_trace(wobbling), chance=0.5)
+    assert crash_detector(np.array(wobbling), chance=0.5)
+    with pytest.raises(ValueError):
+        crash_detector([], chance=0.5)
 
 
 def test_csv_writers_roundtrip(tmp_path):
+    """The histogram and curve files hold the metrics' values to the last bit."""
     rng = np.random.default_rng(4)
     omega = rng.uniform(0.0, 1.5, size=64)
     mask = rng.random(64) < 0.3
+    _write_detection(tmp_path, omega, mask, bins=10)
     hist = weight_histogram(omega, mask, bins=10)
-    curve = separation_curve(omega, mask, thresholds=np.linspace(0, 1.6, 9))
+    curve = separation_curve(omega, mask)
 
-    hp = tmp_path / "hist.csv"
-    write_histogram_csv(hist, hp)
-    with open(hp, newline="") as fh:
+    with open(tmp_path / "weight_histogram.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 10
+    assert [float(r["bin_lo"]) for r in rows] == hist.edges[:-1].tolist()
+    assert [float(r["bin_hi"]) for r in rows] == hist.edges[1:].tolist()
+    assert [int(r["correct_count"]) for r in rows] == hist.correct_counts.tolist()
+    assert [int(r["mislabelled_count"]) for r in rows] == hist.mislabelled_counts.tolist()
     assert sum(int(r["correct_count"]) for r in rows) == (~mask).sum()
-    assert float(rows[0]["bin_lo"]) == 0.0
 
-    cp = tmp_path / "curve.csv"
-    write_curve_csv(curve, cp)
-    with open(cp, newline="") as fh:
+    with open(tmp_path / "separation_curve.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 9
-    assert [float(r["threshold"]) for r in rows] == list(np.linspace(0, 1.6, 9))
+    assert len(rows) == 201
+    assert [float(r["threshold"]) for r in rows] == curve.thresholds.tolist()
+    assert [float(r["correct_kept"]) for r in rows] == curve.correct_kept.tolist()
+    assert [float(r["mislabelled_caught"]) for r in rows] == curve.mislabelled_caught.tolist()

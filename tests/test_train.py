@@ -58,7 +58,8 @@ def test_numeric_single_epoch_matches_hand_sequencing():
         sel = ds.labels == c
         w[sel] *= rho[c] * sel.sum() / w[sel].sum()
     assert np.allclose(omega, w, atol=1e-12)
-    assert len(trace) == 1
+    assert trace.keys() == {"train_loss", "train_acc"}
+    assert trace["train_loss"].shape == trace["train_acc"].shape == (1,)
 
 
 def test_numeric_weights_keep_class_budgets():
@@ -94,7 +95,7 @@ def test_numeric_without_updates_equals_plain_baseline():
     )
     assert np.array_equal(p_num.flatten(), p_pl.flatten())
     assert np.array_equal(w_num, w_pl)
-    assert t_num.column("train_loss") == t_pl.column("train_loss")
+    assert np.array_equal(t_num["train_loss"], t_pl["train_loss"])
 
 
 def test_numeric_zero_step_size_equals_plain_baseline():
@@ -127,9 +128,7 @@ def test_analytic_with_huge_alpha_flattens_to_baseline():
         ds, DrFitConfig(alpha=1e9, lam=0.0, rho=(1.0, 1.0)),
         TrainConfig(epochs=5, solver="plain", **kw), init,
     )
-    a = np.array(t_an.column("train_loss"))
-    p = np.array(t_pl.column("train_loss"))
-    assert np.allclose(a, p, atol=1e-6)
+    assert np.allclose(t_an["train_loss"], t_pl["train_loss"], atol=1e-6)
 
 
 def test_zero_epochs_returns_initial_state():
@@ -139,7 +138,7 @@ def test_zero_epochs_returns_initial_state():
     init = init_params([2, 4, 1], seed=9)
     params, weights, trace = train(ds, dr, tr, init)
     assert np.array_equal(params.flatten(), init.flatten())
-    assert len(trace) == 0
+    assert trace["train_loss"].shape == (0,)
     part = ClassPartition.from_labels(ds.labels)
     losses = per_example_loss(mlp_forward(init, ds.features), ds.labels)
     assert np.allclose(weights, analytic_weights(losses, part, dr))
@@ -151,7 +150,7 @@ def test_full_batch_descent_is_monotone():
     ds = _toy_data(n=20)
     part = ClassPartition.from_labels(ds.labels)
     dr = DrFitConfig(alpha=0.7, lam=0.05, rho=(1.0, 1.0))
-    params = init_params([2, 4, 1], seed=10, activation="identity")
+    params = init_params([2, 1], seed=10)
     lr = 1e-3
     values = []
     for _ in range(60):
@@ -179,7 +178,7 @@ def test_training_is_deterministic():
     p2, w2, t2 = train(ds, dr, tr, init)
     assert np.array_equal(p1.flatten(), p2.flatten())
     assert np.array_equal(w1, w2)
-    assert t1.column("train_loss") == t2.column("train_loss")
+    assert np.array_equal(t1["train_loss"], t2["train_loss"])
 
 
 @pytest.mark.parametrize("batch_size", [16, 60])
@@ -298,9 +297,8 @@ def test_one_batch_numeric_epoch_reuses_the_weight_step_pass(monkeypatch):
         params, _, trace = train(ds, dr, tr, init)
         # each epoch: a step, then a weight step or an epoch-end pass
         assert len(calls) == 2 * epochs
-        last = trace.records[-1]
-        assert last.train_loss == mean_loss(params, ds)
-        assert last.train_acc == evaluate(params, ds)
+        assert trace["train_loss"][-1] == mean_loss(params, ds)
+        assert trace["train_acc"][-1] == evaluate(params, ds)
 
 
 def test_train_config_validation():
@@ -321,6 +319,13 @@ def test_train_submodule_is_not_shadowed():
 
     assert isinstance(m, types.ModuleType)
     assert callable(m.train)
+
+
+def _assert_same_trace(a, b):
+    """The same columns, each equal bit for bit."""
+    assert a.keys() == b.keys()
+    for k in a:
+        np.testing.assert_array_equal(a[k], b[k])
 
 
 def _stack_setup(n=66, seed=21):
@@ -376,11 +381,12 @@ def test_stacked_run_matches_separate_runs(solver):
         (p1, w1, t1), (p0, w0, t0) = stacked[r], alone
         assert np.array_equal(p1.flatten(), p0.flatten())
         assert np.array_equal(w1, w0)
-        assert t1.records == t0.records
+        _assert_same_trace(t1, t0)
+        assert list(t1) == ["train_loss", "train_acc", "val_acc", "test_acc"]
         p_ref, w_ref, loss_ref = _batch_by_batch(ds, dr, one, net)
         np.testing.assert_allclose(p1.flatten(), p_ref.flatten(), rtol=0, atol=1e-10)
         np.testing.assert_allclose(w1, w_ref, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(t1.column("train_loss"), loss_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(t1["train_loss"], loss_ref, rtol=0, atol=1e-10)
     assert all(np.array_equal(n.flatten(), m.flatten()) for n, m in zip(nets, _stack_setup()[1]))
 
 
@@ -408,7 +414,7 @@ def test_a_diverging_replication_leaves_the_others_alone(bad):
         (p1, w1, t1), (p0, w0, t0) = results[r], expected[r]
         assert np.array_equal(p1.flatten(), p0.flatten())
         assert np.array_equal(w1, w0)
-        assert t1.column("train_loss") == t0.column("train_loss")
+        np.testing.assert_array_equal(t1["train_loss"], t0["train_loss"])
 
 
 def test_a_net_without_a_batch_skips_the_step():
@@ -455,4 +461,5 @@ def test_nets_failing_at_later_epochs_leave_the_others_bit_for_bit():
             ds, dr, dataclasses.replace(tr, seed=30 + r), nets[r], val=ds)
         assert np.array_equal(p1.flatten(), p0.flatten())
         assert np.array_equal(w1, w0)
-        assert t1.records == t0.records and len(t1) == tr.epochs
+        _assert_same_trace(t1, t0)
+        assert t1["val_acc"].shape == (tr.epochs,)
