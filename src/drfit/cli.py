@@ -588,6 +588,8 @@ def _report_theory_mv(cfg: dict) -> list[dict]:
             )
         else:
             entries.append(_entry(f"{name}_b_star", res.b_star))
+        entries.append(_entry(f"{name}_newton_iterations", res.newton_iterations))
+        entries.append(_entry(f"{name}_max_grad_norm", res.max_grad_norm))
     return entries
 
 
@@ -802,7 +804,11 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             cfg = _resolved(args)
             cfg["kind"] = "hyper-sweep"
-            run_sweep(cfg)
+            result = run_sweep(cfg)
+            if all(row["runs"] == 0 for row in result["table"]):
+                print("training error: no grid point finished a replication",
+                      file=sys.stderr)
+                return 4
         elif args.command == "detect":
             run_detect(args.run_dir, args.snapshot, args.bins)
         elif args.command == "mnist-prep":

@@ -16,7 +16,9 @@ the single-parameter logistic P(y=1 | x) = e^{s x} / (e^{s x} + e^{-s x})
 
 Expectations are evaluated by Gauss-Hermite / Gauss-Legendre quadrature or
 exact summation for discrete distributions; all root searches use
-geometric bracket expansion followed by bisection.
+geometric bracket expansion followed by bisection. The 2-D estimator
+maximises O_b by damped Newton steps with the exact 2x2 Hessian, which the
+same quadrature pass as the value and gradient gives.
 """
 
 from __future__ import annotations
@@ -539,9 +541,9 @@ def w_identity_residual(mu, cov, nodes: int = 64) -> float:
 # general multivariate estimator (r = 2)
 
 def _mv_neg_objective(prob: PopulationProblem, b: float):
-    """Returns f(s) = -O_b(s) and its gradient, for scipy minimisation.
-    Each clean component enters both label mixtures, at its label_mixture
-    weight m1 for label 1 and m0 for label 0."""
+    """Returns f(s) = -O_b(s) with its gradient and its 2x2 Hessian, from
+    one quadrature pass. Each clean component enters both label mixtures,
+    at its label_mixture weight m1 for label 1 and m0 for label 0."""
     d1 = prob.dist1
     if not isinstance(d1, (MvGaussian, MvUniformBox)):
         raise TypeError("multivariate estimation needs a 2-D covariate distribution")
@@ -551,8 +553,8 @@ def _mv_neg_objective(prob: PopulationProblem, b: float):
     comps = [(*nodes_weights(d, prob.rule), m1, m0)
              for (d, m1), (_, m0) in zip(prob.label_mixture(1), prob.label_mixture(0))]
 
-    def fg(s):
-        e1 = e0 = g1 = g0 = 0.0
+    def fgh(s):
+        e1 = e0 = g1 = g0 = h1 = h0 = 0.0
         for pts, wts, m1, m0 in comps:
             # log_sigma2(+-t) = -softplus(-+u) with u = 2t; both share the
             # tail log1p(exp(-|u|)), bit for bit, since |-u| == |u|
@@ -561,29 +563,141 @@ def _mv_neg_objective(prob: PopulationProblem, b: float):
             lp = -(np.maximum(-u, 0.0) + tail)
             ln = -(np.maximum(u, 0.0) + tail)
             sp, sn = np.exp(lp), np.exp(ln)
+            del u, tail  # two fewer node arrays alive beside the Hessian's
             if b == 0.0:
                 e1 += m1 * (wts @ lp)
                 e0 += m0 * (wts @ ln)
                 # d/dt log sigma2(t) = 2 sigma2(-t)
                 g1 += m1 * (wts * sn) @ pts
                 g0 += m0 * (wts * sp) @ pts
+                # d2/dt2 log sigma2(+-t) = -4 sigma2(t) sigma2(-t)
+                k = _weighted_xxt(wts * sp * sn, pts)
+                h1 += m1 * k
+                h0 += m0 * k
             else:
                 w1 = np.exp(b * lp)
                 w0 = np.exp(b * ln)
                 e1 += m1 * (wts @ w1)
                 e0 += m0 * (wts @ w0)
-                g1 += m1 * (wts * w1 * sn) @ pts
-                g0 += m0 * (wts * w0 * sp) @ pts
+                c1, c0 = wts * w1 * sn, wts * w0 * sp
+                g1 += m1 * c1 @ pts
+                g0 += m0 * c0 @ pts
+                # d/dt [sigma2(t)^b sigma2(-t)]
+                #     = 2 sigma2(t)^b sigma2(-t) (b sigma2(-t) - sigma2(t))
+                h1 += m1 * _weighted_xxt(c1 * (b * sn - sp), pts)
+                h0 += m0 * _weighted_xxt(c0 * (b * sp - sn), pts)
         if b == 0.0:
-            return -(p1 * e1 + p0 * e0), -(p1 * (2.0 * g1) + p0 * (-2.0 * g0))
+            h = 4.0 * (p1 * h1 + p0 * h0)
+            return -(p1 * e1 + p0 * e0), -(p1 * (2.0 * g1) + p0 * (-2.0 * g0)), h
         val = p1 * math.log(e1) + p0 * math.log(e0)
         grad = p1 * (2.0 * b * g1) / e1 + p0 * (-2.0 * b * g0) / e0
-        return -val, -grad
+        # hess log E = hess E / E - grad E grad E^T / E^2, with
+        # hess E_1 = 4b E_1[...] x x^T and grad E_1 = 2b E_1[...] x (E_0 mirrored)
+        q1, q0 = (2.0 * b / e1) * g1, (2.0 * b / e0) * g0
+        h = (p1 * ((4.0 * b / e1) * h1 - np.outer(q1, q1))
+             + p0 * ((4.0 * b / e0) * h0 - np.outer(q0, q0)))
+        return -val, -grad, -h
 
-    return fg
+    return fgh
+
+
+def _weighted_xxt(d, pts) -> np.ndarray:
+    """sum_i d_i x_i x_i^T over the rows x_i of pts, by three dot products;
+    its off-diagonal entries are one number, so it is exactly symmetric."""
+    x0, x1 = pts[:, 0], pts[:, 1]
+    dx0 = d * x0
+    off = dx0 @ x1
+    return np.array([[dx0 @ x0, off], [off, (d * x1) @ x1]])
+
+
+_EPS = float(np.finfo(float).eps)
+_NEWTON_MESSAGES = ("gradient norm at most gtol", "maxiter steps taken",
+                    "no step along the Newton direction is acceptable")
+
+
+def _newton(fun, x0, args=(), gtol=1e-12, maxiter=1000, **_):
+    """Damped Newton minimisation of a 2-D function, as a custom method
+    for optimize.minimize; fun(x) returns (value, gradient, Hessian).
+
+    Where the Hessian H is not safely positive definite, it is shifted by
+    tau I so that its smallest eigenvalue becomes max(|lambda_min|,
+    1e-8 |lambda_max|); the 2x2 system is solved in closed form. The step
+    is halved until the Armijo condition holds. Near the optimum the
+    predicted decrease falls below the rounding of the value, so a step
+    that leaves the value within rounding and shrinks |g| is accepted too.
+    Stops at |g| <= gtol, after maxiter steps, or when 60 halvings find
+    no acceptable step.
+    """
+    x = np.array(x0, dtype=float)  # a copy: the result never aliases the start
+    f, g, h = fun(x, *args)
+    nfev, nit, status = 1, 0, 0
+    while True:
+        gnorm = math.hypot(g[0], g[1])
+        if gnorm <= gtol:
+            break
+        if nit == maxiter:
+            status = 1
+            break
+        a, c, o = h[0, 0], h[1, 1], h[0, 1]
+        half = math.hypot(0.5 * (a - c), o)
+        lo, hi = 0.5 * (a + c) - half, 0.5 * (a + c) + half
+        tau = max(0.0, max(abs(lo), 1e-8 * abs(hi)) - lo)
+        a, c = a + tau, c + tau
+        det = a * c - o * o
+        if det > 0.0 and math.isfinite(det):
+            p = np.array([o * g[1] - c * g[0], o * g[0] - a * g[1]]) / det
+        else:
+            p = -g
+        slope = float(g @ p)
+        t = 1.0
+        for _ in range(60):
+            xt = x + t * p
+            ft, gt, ht = fun(xt, *args)
+            nfev += 1
+            if ft <= f + 1e-4 * t * slope or (
+                    ft - f <= 4.0 * _EPS * abs(f) and math.hypot(gt[0], gt[1]) < gnorm):
+                break
+            t *= 0.5
+        else:
+            status = 2
+            break
+        x, f, g, h = xt, ft, gt, ht
+        nit += 1
+    return optimize.OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev,
+                                   status=status, success=status == 0,
+                                   message=_NEWTON_MESSAGES[status])
 
 
 _MV_START_SCALES = (0.1, 1.0, 5.0)
+
+
+def _mv_maximise(prob: PopulationProblem, b: float, starts=None, gtol: float = 1e-12):
+    """general_mv_estimator's search; also returns the Newton iterations it
+    took over all starts and the largest final gradient norm among them."""
+    fgh = _mv_neg_objective(prob, b)
+    if starts is None:
+        starts = [c * np.ones(2) for c in _MV_START_SCALES]
+    best, best_val, converged = None, math.inf, False
+    nit, max_grad = 0, 0.0
+    for x0 in starts:
+        res = optimize.minimize(fgh, np.asarray(x0, dtype=float), method=_newton,
+                                options={"gtol": gtol, "maxiter": 1000})
+        grad_norm = float(np.linalg.norm(res.jac))
+        nit += res.nit
+        max_grad = max(max_grad, grad_norm)
+        if res.fun < best_val:
+            best, best_val = res.x, res.fun
+        # a solve can stop short of gtol at the gradient's rounding floor,
+        # at an excellent point, so judge convergence by the gradient
+        # rather than the status flag
+        if grad_norm < 1e-6:
+            converged = True
+    if best is None or float(np.linalg.norm(best)) > _BRACKET_CAP:
+        raise OptimisationError("no finite maximiser found", best=best)
+    if not converged:
+        raise OptimisationError("Newton ascent did not reach a stationary point",
+                                best=best)
+    return best, nit, max_grad
 
 
 def general_mv_estimator(
@@ -592,29 +706,10 @@ def general_mv_estimator(
     starts=None,
     gtol: float = 1e-12,
 ) -> np.ndarray:
-    """Maximise O_b(s) over s in R^2 by quasi-Newton ascent from several
-    starting points; returns the best stationary point found."""
-    fg = _mv_neg_objective(prob, b)
-    if starts is None:
-        starts = [c * np.ones(2) for c in _MV_START_SCALES]
-    best, best_val, converged = None, math.inf, False
-    for x0 in starts:
-        res = optimize.minimize(fg, np.asarray(x0, dtype=float), jac=True,
-                                method="BFGS",
-                                options={"gtol": gtol, "maxiter": 1000})
-        grad_norm = float(np.linalg.norm(res.jac))
-        if res.fun < best_val:
-            best, best_val = res.x, res.fun
-        # BFGS often stops on "precision loss" at an excellent point, so
-        # judge convergence by the gradient rather than the status flag
-        if grad_norm < 1e-6:
-            converged = True
-    if best is None or float(np.linalg.norm(best)) > _BRACKET_CAP:
-        raise OptimisationError("no finite maximiser found", best=best)
-    if not converged:
-        raise OptimisationError("quasi-Newton ascent did not reach a stationary point",
-                                best=best)
-    return best
+    """Maximise O_b(s) over s in R^2 by damped Newton ascent with the exact
+    Hessian from several starting points; returns the best stationary
+    point found."""
+    return _mv_maximise(prob, b, starts, gtol)[0]
 
 
 @dataclass(frozen=True)
@@ -624,26 +719,38 @@ class MvBstarResult:
     s_star: tuple[float, ...]
     s_noisy: tuple[float, ...]
     s_best: tuple[float, ...]
+    newton_iterations: int
+    max_grad_norm: float
 
 
 def find_mv_bstar(prob: PopulationProblem, b_hi: float = 0.95, tol: float = 1e-4) -> MvBstarResult:
     """Search b in [0, b_hi] for the weighted estimate closest to the
-    clean optimum; reports the distance ratio against the unweighted one."""
-    clean = prob.with_q(0.0)
-    s_star = general_mv_estimator(clean, 0.0)
-    s0 = general_mv_estimator(prob, 0.0)
+    clean optimum; reports the distance ratio against the unweighted one,
+    with the Newton iterations of every solve of the search and the
+    largest final gradient norm among them."""
+    nit, max_grad = 0, 0.0
+
+    def solve(p: PopulationProblem, b: float, starts=None) -> np.ndarray:
+        nonlocal nit, max_grad
+        s, n, g = _mv_maximise(p, b, starts)
+        nit, max_grad = nit + n, max(max_grad, g)
+        return s
+
+    s_star = solve(prob.with_q(0.0), 0.0)
+    s0 = solve(prob, 0.0)
     d0 = float(np.linalg.norm(s0 - s_star))
     if d0 == 0.0:
-        return MvBstarResult(0.0, 0.0, tuple(s_star), tuple(s0), tuple(s0))
+        return MvBstarResult(0.0, 0.0, tuple(s_star), tuple(s0), tuple(s0), nit, max_grad)
 
     def dist(b: float) -> float:
-        sb = general_mv_estimator(prob, b, starts=[s_star, 0.5 * s_star + 0.5 * s0])
+        sb = solve(prob, b, starts=[s_star, 0.5 * s_star + 0.5 * s0])
         return float(np.linalg.norm(sb - s_star))
 
     b_star, _ = _golden_max(lambda b: -dist(b), 0.0, b_hi, tol=tol)
-    s_best = general_mv_estimator(prob, b_star, starts=[s_star])
+    s_best = solve(prob, b_star, starts=[s_star])
     ratio = float(np.linalg.norm(s_best - s_star)) / d0
-    return MvBstarResult(float(b_star), ratio, tuple(s_star), tuple(s0), tuple(s_best))
+    return MvBstarResult(float(b_star), ratio, tuple(s_star), tuple(s0), tuple(s_best),
+                         nit, max_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -465,6 +465,27 @@ def test_sweep_excludes_points_that_always_crash(tmp_path, monkeypatch):
     assert crashed_row["all_crashed"] is True
 
 
+def test_theory_mv_report_carries_solver_diagnostics(tmp_path):
+    """Each box adds the Newton iterations of its b* search and the largest
+    final gradient norm of its solves as INFO entries, after its verdicts."""
+    entries = cli.run_theory_report(
+        validate_config(load_config(None, ["kind=theory-mv", f"output_dir={tmp_path}"])))
+    keys = [e["key"] for e in entries]
+    assert keys == [
+        "gaussian_s_star_error", "w_identity_residual", "direction_angle_b_0.0",
+        "direction_angle_b_0.3", "direction_angle_b_0.6", "direction_angle_b_0.9", "b_star",
+        "reduction_gap_at_b_star",
+        "box1_ratio", "box1_b_star", "box1_newton_iterations", "box1_max_grad_norm",
+        "box2_ratio", "box2_b_star", "box2_newton_iterations", "box2_max_grad_norm",
+    ]
+    by_key = {e["key"]: e for e in entries}
+    for box in ("box1", "box2"):
+        nit, grad = by_key[f"{box}_newton_iterations"], by_key[f"{box}_max_grad_norm"]
+        assert nit["pass"] is None and grad["pass"] is None
+        assert isinstance(nit["value"], int) and nit["value"] > 0
+        assert 0.0 <= grad["value"] <= 1e-8
+
+
 def test_theory_mv_report_survives_an_optimiser_failure(tmp_path, monkeypatch):
     def failing_search(prob, **kw):
         raise theory.OptimisationError("no finite maximiser found")
@@ -601,3 +622,32 @@ def test_exit_code_4_only_when_no_replication_finishes(tmp_path, capsys):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["runs"] == 4 and summary["failures"] == 2
+
+
+def test_sweep_exits_4_only_when_no_grid_point_finishes(tmp_path, capsys, monkeypatch):
+    """Every replication of the one grid point clips a class to zero
+    weight: the table and best.json are written and the exit is 4. One
+    grid point that finishes a replication is enough for exit 0."""
+    out = tmp_path / "all"
+    code = main(["sweep", "--set", "sweep.alpha_grid=[1.0]", "--set", "data.n=120",
+                 "--set", "train.epochs=3", "--set", "train.solver=numeric",
+                 "--set", "train.omega_lr=5", "--set", "train.burn_in=1",
+                 "--set", "train.batch_size=40", "--set", "replications=2",
+                 "--output-dir", str(out)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert "every grid point crashed or failed" in captured.out
+    assert "training error:" in captured.err
+    best = json.loads((out / "best.json").read_text())
+    assert best["best"] is None and [r["runs"] for r in best["table"]] == [0]
+    assert (out / "sweep_table.csv").read_text().splitlines()[1] == "1.0,0.0,,0,0,False"
+
+    def fake_experiment(sub, quiet=False):
+        runs = 0 if sub["drfit"]["alpha"] == 2.0 else 1
+        return {"runs": runs, "crashes": 0, "failures": 2 - runs,
+                "mean_final_val_acc": 0.5 if runs else None}
+
+    monkeypatch.setattr(cli, "run_training_experiment", fake_experiment)
+    code = main(["sweep", "--set", "sweep.alpha_grid=[1.0,2.0]",
+                 "--output-dir", str(tmp_path / "some")])
+    assert code == 0
