@@ -15,8 +15,9 @@ the single-parameter logistic P(y=1 | x) = e^{s x} / (e^{s x} + e^{-s x})
     b = 1/alpha is the reciprocal of the weight-penalty strength.
 
 Expectations are evaluated by Gauss-Hermite / Gauss-Legendre quadrature or
-exact summation for discrete distributions; all root searches use
-geometric bracket expansion followed by bisection. The 2-D estimator
+exact summation for discrete distributions. Root searches expand a
+bracket geometrically and then call scipy's brentq; a maximum bracketed on
+a grid is refined by scipy's bounded Brent method. The 2-D estimator
 maximises O_b by damped Newton steps with the exact 2x2 Hessian, which the
 same quadrature pass as the value and gradient gives.
 """
@@ -312,45 +313,25 @@ def _mixture_expect(components, f, rule) -> float:
 # ---------------------------------------------------------------------------
 # one-dimensional estimators
 
-def _root_by_bisection(f, lo, hi, tol=1e-10):
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _positive_root(score, what: str) -> float:
     """Smallest positive root of a score that starts positive near 0 and
-    eventually turns negative; geometric expansion then bisection."""
+    eventually turns negative; geometric expansion, then brentq."""
     lo = _BRACKET_LO
-    f_lo = score(lo)
-    if f_lo <= 0:
-        # root sits below the expansion start; the score is positive at 0+
-        return _root_by_bisection(score, 0.0, lo)
+    if score(lo) <= 0:
+        # the root sits below the expansion start, or at 0 when the score
+        # is not positive there either
+        return 0.0 if score(0.0) <= 0 else optimize.brentq(score, 0.0, lo)
     hi = lo
     while hi < _BRACKET_CAP:
         hi *= 2.0
         if score(hi) <= 0:
-            return _root_by_bisection(score, hi / 2.0, hi)
+            return optimize.brentq(score, hi / 2.0, hi)
     raise DivergenceError(f"{what}: score has no sign change below {_BRACKET_CAP:g}")
 
 
-def _score_function(prob: PopulationProblem, constant: float):
-    """s -> constant - E[x tanh(s x)] with X the overall covariate mixture."""
-    rule = prob.rule
-    overall = [(prob.dist1, prob.p_star_1), (prob.clean0, 1.0 - prob.p_star_1)]
-
-    def score(s: float) -> float:
-        return constant - _mixture_expect(overall, lambda x: x * np.tanh(s * x), rule)
-
-    return score
-
-
 def clean_estimator_1d(prob: PopulationProblem) -> float:
-    """Population logistic estimate with uncontaminated labels."""
+    """Population logistic estimate with uncontaminated labels: the noisy
+    estimate of the same problem without flips."""
     rule = prob.rule
     m1 = expect(prob.dist1, lambda x: x, rule)
     m0 = expect(prob.clean0, lambda x: x, rule)
@@ -358,21 +339,13 @@ def clean_estimator_1d(prob: PopulationProblem) -> float:
         raise HypothesisViolation("clean class-1 covariate must have positive mean")
     if m0 > m1:
         raise HypothesisViolation("class means are ordered the wrong way")
-    constant = prob.p_star_1 * m1 - (1.0 - prob.p_star_1) * m0
-    return _positive_root(_score_function(prob, constant), "clean estimator")
+    return weighted_estimator_1d(prob.with_q(0.0), 0.0)
 
 
 def noisy_estimator_1d(prob: PopulationProblem) -> float:
-    """Population logistic estimate with flipped labels: same score
-    equation with the label-conditional means replacing the clean ones."""
-    rule = prob.rule
-    p1, p0 = prob.label_priors
-    m1 = _mixture_expect(prob.label_mixture(1), lambda x: x, rule)
-    m0 = _mixture_expect(prob.label_mixture(0), lambda x: x, rule)
-    constant = p1 * m1 - p0 * m0
-    if constant <= 0:
-        return 0.0
-    return _positive_root(_score_function(prob, constant), "noisy estimator")
+    """Population logistic estimate with flipped labels: the weighted
+    estimate at b = 0, where O_0 is the expected log-likelihood."""
+    return weighted_estimator_1d(prob, 0.0)
 
 
 def weighted_objective_1d(prob: PopulationProblem, b: float, s):
@@ -394,6 +367,15 @@ def weighted_objective_1d(prob: PopulationProblem, b: float, s):
             e1, e0 = np.log(e1), np.log(e0)
     out = p1 * e1 + p0 * e0
     return float(out) if s.ndim == 0 else out
+
+
+def _refine_max(prob: PopulationProblem, b: float, lo: float, hi: float):
+    """(argmax, max) of O_b on [lo, hi] by scipy's bounded Brent method.
+    xatol=1e-11 leaves the stop to the method's own sqrt(eps) |s| term, the
+    scale at which comparisons of O_b stop resolving s."""
+    res = optimize.minimize_scalar(lambda s: -weighted_objective_1d(prob, b, s),
+                                   bounds=(lo, hi), method="bounded", options={"xatol": 1e-11})
+    return float(res.x), -float(res.fun)
 
 
 def _m_function(prob: PopulationProblem, b: float):
@@ -430,24 +412,7 @@ def weighted_estimator_1d(prob: PopulationProblem, b: float) -> float:
     if k >= len(grid) - 2 or vals[-1] >= vals.max():
         return DIVERGENT
     lo, hi = grid[max(k - 1, 0)], grid[k + 1]
-    return _golden_max(lambda s: float(weighted_objective_1d(prob, b, s)), lo, hi)[0]
-
-
-def _golden_max(f, lo, hi, tol=1e-11):
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - gr * (hi - lo), lo + gr * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - gr * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + gr * (hi - lo)
-            fd = f(d)
-    mid = 0.5 * (lo + hi)
-    return mid, f(mid)
+    return _refine_max(prob, b, lo, hi)[0]
 
 
 def find_bstar_1d(prob: PopulationProblem, tol: float = 1e-6) -> float:
@@ -462,6 +427,8 @@ def find_bstar_1d(prob: PopulationProblem, tol: float = 1e-6) -> float:
     s0 = weighted_estimator_1d(prob, 0.0)
     if s0 > s_star + tol:
         raise HypothesisViolation("unweighted estimate already exceeds the clean one")
+    if abs(s0 - s_star) < tol:
+        return 0.0  # b = 0 recovers s*; s0 above it leaves brentq no sign change
     lo, hi = 0.0, None
     b = 0.5
     while hi is None:
@@ -473,16 +440,10 @@ def find_bstar_1d(prob: PopulationProblem, tol: float = 1e-6) -> float:
             b = 0.5 * (1.0 + b)
             if 1.0 - b < 1e-12:
                 raise DivergenceError("no b < 1 reaches the clean estimate")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        sw = weighted_estimator_1d(prob, mid)
-        if abs(sw - s_star) < tol:
-            return mid
-        if sw < s_star:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # a DIVERGENT estimate enters as the cap: a finite value keeps brentq
+    # interpolating, where an infinite one leaves it bisection steps
+    return optimize.brentq(
+        lambda b: min(weighted_estimator_1d(prob, b), _BRACKET_CAP) - s_star, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +707,8 @@ def find_mv_bstar(prob: PopulationProblem, b_hi: float = 0.95, tol: float = 1e-4
         sb = solve(prob, b, starts=[s_star, 0.5 * s_star + 0.5 * s0])
         return float(np.linalg.norm(sb - s_star))
 
-    b_star, _ = _golden_max(lambda b: -dist(b), 0.0, b_hi, tol=tol)
+    b_star = optimize.minimize_scalar(dist, bounds=(0.0, b_hi), method="bounded",
+                                      options={"xatol": tol}).x
     s_best = solve(prob, b_star, starts=[s_star])
     ratio = float(np.linalg.norm(s_best - s_star)) / d0
     return MvBstarResult(float(b_star), ratio, tuple(s_star), tuple(s0), tuple(s_best),
@@ -784,8 +746,8 @@ def discontinuity_scan(
     """Track the global maximiser of O_{1/alpha} over an alpha grid and
     report where (if anywhere) it jumps between local-maximum branches.
 
-    A dense s grid locates candidate maxima; each is refined by golden
-    section. An argmax move of more than max(0.05, 25%) between
+    A dense s grid locates candidate maxima; each is refined by scipy's
+    bounded Brent method. An argmax move of more than max(0.05, 25%) between
     neighbouring alphas counts as a jump.
 
     The profile is evaluated through the problem's own quadrature rule.
@@ -804,11 +766,7 @@ def discontinuity_scan(
         peaks, inner = [], vals[1:-1]
         rises = (inner > vals[:-2] + 1e-13) & (inner > vals[2:] + 1e-13)
         for i in np.flatnonzero(rises) + 1:
-            s_ref, v_ref = _golden_max(
-                lambda s: float(weighted_objective_1d(prob, b, s)),
-                grid[i - 1], grid[i + 1],
-            )
-            peaks.append((float(s_ref), float(v_ref)))
+            peaks.append(_refine_max(prob, b, grid[i - 1], grid[i + 1]))
         # Still rising at the edge of the grid means a divergent branch,
         # but the far tail of a settled profile is flat to machine noise,
         # so demand a rise that clears the quadrature noise floor. A

@@ -63,6 +63,35 @@ def test_theory_scan_spans_fire():
         assert calls[span] > 0, f"span {span} did not fire"
 
 
+def test_theory_mv_spans_fire():
+    """The 1-D root searches must keep going through expect, and the b*
+    search through optimize.minimize, or the traced theory-mv benchmark
+    loses its layers; two traced calls must count alike."""
+    tracing = _load_tracing()
+    theory = importlib.import_module("drfit.theory")
+    cli = importlib.import_module("drfit.cli")
+    cfg = cli.validate_config(cli.load_config(None, ["kind=theory-1d"]))
+    box = theory.PopulationProblem(theory.MvUniformBox([[-1.0, 3.0], [-2.0, 4.0]]),
+                                   q=0.2, nodes=32)
+    exact = []
+    for _ in range(2):
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            cli._report_theory_1d(cfg)
+            theory.find_mv_bstar(box, tol=2e-3)
+        finally:
+            tracer.uninstall()
+        red = tracer.reduce()
+        for span in ("theory.root", "theory.bfgs", "theory.mv_bstar", "theory.expect",
+                     "theory.nodes"):
+            assert red["calls"][span] > 0, f"span {span} did not fire"
+        layers = tracing.layer_metrics(red, 0)
+        exact.append({name: layers[name] for name in tracing.EXACT})
+    assert exact[0]["theory.bfgs_nit"] > 0 and exact[0]["theory.bfgs_nfev"] > 0
+    assert exact[0] == exact[1]
+
+
 @pytest.mark.parametrize("solver", ["analytic", "numeric"])
 def test_training_spans_fire(tmp_path, solver):
     """A training run must keep going through every hooked name of

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize
+from scipy import integrate, optimize
 
 from drfit import theory
 from drfit.cli import counterexample_problem
@@ -281,9 +281,98 @@ def test_bstar_restores_the_clean_optimum():
 
 
 def test_bstar_vanishes_without_noise():
-    """No flips, nothing to correct: the crossing sits at b = 0."""
-    b = find_bstar_1d(PopulationProblem(Gaussian(1.0, 1.0), q=0.0))
-    assert 0.0 <= b < 0.05
+    """No flips, nothing to correct: s(0) equals s*, so the crossing sits
+    exactly at b = 0, with no sign change left to bracket."""
+    assert find_bstar_1d(PopulationProblem(Gaussian(1.0, 1.0), q=0.0)) == 0.0
+
+
+def test_bstar_is_zero_when_the_unweighted_estimate_is_within_tol(monkeypatch):
+    """s(0) a rounding step above s* gives the bracket [0, 0.5] no sign
+    change; within tol, b = 0 already recovers s*."""
+    s0 = weighted_estimator_1d(GAUSS_PROB, 0.0)
+    monkeypatch.setattr(theory, "clean_estimator_1d", lambda prob: s0 * (1.0 - 1e-12))
+    assert find_bstar_1d(GAUSS_PROB) == 0.0
+
+
+def test_bstar_search_survives_a_divergent_bracket_end(monkeypatch):
+    """The expansion brackets b* in [0.5, 0.75]; with every estimate above
+    b = 0.6 reported DIVERGENT, the root search must still return a finite
+    b* whose estimate recovers s*."""
+    real = theory.weighted_estimator_1d
+    divergent = []
+
+    def diverging_above(prob, b):
+        if b > 0.6:
+            divergent.append(b)
+            return DIVERGENT
+        return real(prob, b)
+
+    monkeypatch.setattr(theory, "weighted_estimator_1d", diverging_above)
+    b_star = find_bstar_1d(GAUSS_PROB)
+    assert divergent, "no estimate in the search was divergent"
+    assert math.isfinite(b_star) and 0.5 < b_star < 0.6
+    assert abs(real(GAUSS_PROB, b_star) - clean_estimator_1d(GAUSS_PROB)) < 1e-6
+
+
+def _quad_logistic_root(dist1, dist0, p_star_1, q1, q0):
+    """quad: root in s of p1 m1 - p0 m0 - E[x tanh(s x)] for Gaussian
+    classes, with the noisy-label moments written out from the rates."""
+    p0s = 1.0 - p_star_1
+    (mu1, v1), (mu0, v0) = (dist1.mean, dist1.var), (dist0.mean, dist0.var)
+    # p1 m1 - p0 m0 = E[x; label 1] - E[x; label 0]
+    contrast = p_star_1 * (1 - 2 * q1) * mu1 - p0s * (1 - 2 * q0) * mu0
+
+    def gauss_moment(mu, var, s):
+        pdf = lambda x: math.exp(-0.5 * (x - mu) ** 2 / var) / math.sqrt(2 * math.pi * var)
+        return integrate.quad(lambda x: pdf(x) * x * math.tanh(s * x), -math.inf, math.inf,
+                              epsabs=1e-13, epsrel=1e-12)[0]
+
+    def score(s):
+        return contrast - (p_star_1 * gauss_moment(mu1, v1, s) + p0s * gauss_moment(mu0, v0, s))
+
+    return optimize.brentq(score, 1e-3, 50.0, xtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [
+        PopulationProblem(Gaussian(1.0, 1.0), q=(0.3, 0.1), p_star_1=0.4),
+        PopulationProblem(Gaussian(1.0, 1.0), dist0=Gaussian(-0.5, 1.5), q=(0.2, 0.1),
+                          p_star_1=0.4),
+    ],
+    ids=["asymmetric-q", "explicit-dist0"],
+)
+def test_asymmetric_clean_and_noisy_estimates_match_quad_roots(prob):
+    """Off the symmetric route, both estimates come from the grid search on
+    O_0, whose maximiser is the root of the log-likelihood score."""
+    q1, q0 = prob.rates
+    noisy = _quad_logistic_root(prob.dist1, prob.clean0, prob.p_star_1, q1, q0)
+    clean = _quad_logistic_root(prob.dist1, prob.clean0, prob.p_star_1, 0.0, 0.0)
+    assert noisy_estimator_1d(prob) == pytest.approx(noisy, abs=1e-7)
+    assert clean_estimator_1d(prob) == pytest.approx(clean, abs=1e-7)
+
+
+def test_grid_estimate_is_refined_inside_its_bracket(monkeypatch):
+    """The general-case estimate lies between the grid neighbours of the
+    grid argmax and is no lower there than any of those three grid points."""
+    prob = PopulationProblem(Gaussian(1.0, 1.0), q=(0.3, 0.1))
+    profiles = []
+
+    def recording(p, b, s):
+        out = weighted_objective_1d(p, b, s)
+        if np.ndim(s):
+            profiles.append((np.asarray(s), out))
+        return out
+
+    monkeypatch.setattr(theory, "weighted_objective_1d", recording)
+    for b in (0.0, 0.3, 0.6):
+        profiles.clear()
+        s = weighted_estimator_1d(prob, b)
+        (grid, vals), = profiles
+        k = int(np.argmax(vals))
+        lo, hi = max(k - 1, 0), k + 1
+        assert grid[lo] <= s <= grid[hi], b
+        assert weighted_objective_1d(prob, b, s) >= vals[lo:hi + 1].max(), b
 
 
 def test_hypothesis_checks_on_signal_sign():
@@ -575,3 +664,30 @@ def test_scan_is_quiet_on_a_smooth_family():
     assert scan.max_local_maxima == 1
     argmaxes = [e.argmax for e in scan.entries]
     assert all(np.diff(argmaxes) < 0)  # larger alpha, weaker weighting
+
+
+@pytest.mark.parametrize(
+    "prob, alphas",
+    [
+        (counterexample_problem(), np.arange(1.54, 1.69 + 0.005, 0.01)),
+        (GAUSS_PROB_FINE, np.array([2.0, 2.1, 2.2])),
+    ],
+    ids=["criterion-07", "gauss-fine"],
+)
+def test_scan_refines_every_peak_inside_its_grid_bracket(prob, alphas):
+    """Each finite local maximum comes from one strict rise of the default
+    s grid at index i; its refined argmax lies in [grid[i-1], grid[i+1]]
+    and its value, O_b at that argmax, is no lower than at those three
+    grid points."""
+    grid = np.linspace(1e-6, 30.0, 6001)
+    scan = discontinuity_scan(prob, alphas)
+    for e in scan.entries:
+        vals = weighted_objective_1d(prob, e.b, grid)
+        inner = vals[1:-1]
+        rises = np.flatnonzero((inner > vals[:-2] + 1e-13) & (inner > vals[2:] + 1e-13)) + 1
+        peaks = [p for p in e.local_maxima if math.isfinite(p[0])]
+        assert len(peaks) == len(rises) >= 1, e.alpha
+        for i, (s, v) in zip(rises, peaks):
+            assert grid[i - 1] <= s <= grid[i + 1], e.alpha
+            assert v == weighted_objective_1d(prob, e.b, s), e.alpha
+            assert v >= vals[i - 1:i + 2].max(), e.alpha
