@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy import optimize, special
@@ -315,7 +315,9 @@ def _mixture_expect(components, f, rule) -> float:
 
 def _positive_root(score, what: str) -> float:
     """Smallest positive root of a score that starts positive near 0 and
-    eventually turns negative; geometric expansion, then brentq."""
+    eventually turns negative; geometric expansion, then brentq, which
+    takes the values at its bracket ends from the expansion."""
+    score = cache(score)
     lo = _BRACKET_LO
     if score(lo) <= 0:
         # the root sits below the expansion start, or at 0 when the score
@@ -329,9 +331,10 @@ def _positive_root(score, what: str) -> float:
     raise DivergenceError(f"{what}: score has no sign change below {_BRACKET_CAP:g}")
 
 
-def clean_estimator_1d(prob: PopulationProblem) -> float:
+def clean_estimator_1d(prob: PopulationProblem, estimate=None) -> float:
     """Population logistic estimate with uncontaminated labels: the noisy
-    estimate of the same problem without flips."""
+    estimate of the same problem without flips. estimate(prob, b), when
+    given, stands in for weighted_estimator_1d."""
     rule = prob.rule
     m1 = expect(prob.dist1, lambda x: x, rule)
     m0 = expect(prob.clean0, lambda x: x, rule)
@@ -339,7 +342,7 @@ def clean_estimator_1d(prob: PopulationProblem) -> float:
         raise HypothesisViolation("clean class-1 covariate must have positive mean")
     if m0 > m1:
         raise HypothesisViolation("class means are ordered the wrong way")
-    return weighted_estimator_1d(prob.with_q(0.0), 0.0)
+    return (estimate or weighted_estimator_1d)(prob.with_q(0.0), 0.0)
 
 
 def noisy_estimator_1d(prob: PopulationProblem) -> float:
@@ -402,8 +405,9 @@ def weighted_estimator_1d(prob: PopulationProblem, b: float) -> float:
             return _positive_root(m, "weighted estimator")
         except DivergenceError:
             return DIVERGENT
-    # general case: maximise O_b on a dense grid, then refine
-    grid = np.concatenate([np.linspace(_BRACKET_LO, 30.0, 3001),
+    # general case: maximise O_b on a dense grid, then refine; the grid
+    # starts at s = 0, the estimate where O_b does not rise from there
+    grid = np.concatenate([[0.0], np.linspace(_BRACKET_LO, 30.0, 3001),
                            np.geomspace(30.0, _BRACKET_CAP, 200)])
     vals = weighted_objective_1d(prob, b, grid)
     k = int(np.argmax(vals))
@@ -411,20 +415,26 @@ def weighted_estimator_1d(prob: PopulationProblem, b: float) -> float:
     # s -> infinity limit: the profile can settle onto it to the last bit
     if k >= len(grid) - 2 or vals[-1] >= vals.max():
         return DIVERGENT
-    lo, hi = grid[max(k - 1, 0)], grid[k + 1]
-    return _refine_max(prob, b, lo, hi)[0]
+    if k == 0:
+        return 0.0
+    return _refine_max(prob, b, grid[k - 1], grid[k + 1])[0]
 
 
-def find_bstar_1d(prob: PopulationProblem, tol: float = 1e-6) -> float:
+def find_bstar_1d(prob: PopulationProblem, tol: float = 1e-6, estimate=None) -> float:
     """The b in [0, 1) at which the weighted estimator recovers the clean
     one. Uses that s_w(b) is increasing in b for symmetric problems.
+
+    estimate(prob, b) stands in for weighted_estimator_1d; a caller that
+    remembers its estimates (functools.cache) shares them with the search.
+    Without one, the search makes each of its estimates once.
 
     The prose around the uniqueness result says "b* > 1" in one spot, but
     its own limit b -> 1 forces the crossing inside [0, 1) (equivalently
     alpha* > 1), so the search runs over [0, 1).
     """
-    s_star = clean_estimator_1d(prob)
-    s0 = weighted_estimator_1d(prob, 0.0)
+    estimate = estimate or cache(weighted_estimator_1d)
+    s_star = clean_estimator_1d(prob, estimate)
+    s0 = estimate(prob, 0.0)
     if s0 > s_star + tol:
         raise HypothesisViolation("unweighted estimate already exceeds the clean one")
     if abs(s0 - s_star) < tol:
@@ -432,7 +442,7 @@ def find_bstar_1d(prob: PopulationProblem, tol: float = 1e-6) -> float:
     lo, hi = 0.0, None
     b = 0.5
     while hi is None:
-        sw = weighted_estimator_1d(prob, b)
+        sw = estimate(prob, b)
         if sw >= s_star:
             hi = b
         else:
@@ -442,8 +452,7 @@ def find_bstar_1d(prob: PopulationProblem, tol: float = 1e-6) -> float:
                 raise DivergenceError("no b < 1 reaches the clean estimate")
     # a DIVERGENT estimate enters as the cap: a finite value keeps brentq
     # interpolating, where an infinite one leaves it bisection steps
-    return optimize.brentq(
-        lambda b: min(weighted_estimator_1d(prob, b), _BRACKET_CAP) - s_star, lo, hi)
+    return optimize.brentq(lambda b: min(estimate(prob, b), _BRACKET_CAP) - s_star, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -501,52 +510,79 @@ def w_identity_residual(mu, cov, nodes: int = 64) -> float:
 # ---------------------------------------------------------------------------
 # general multivariate estimator (r = 2)
 
+def _mv_terms(pts, wts, s, b: float):
+    """One clean component's per-node terms, in its own node order: the
+    integrands f1, f0 of E_1 and E_0 (log sigma2(+-t) at b = 0, sigma2(+-t)^b
+    above), their gradient densities c1, c0 and their Hessian densities
+    k1, k0, with t = s^T x."""
+    # log_sigma2(+-t) = -softplus(-+u) with u = 2t; both share the
+    # tail log1p(exp(-|u|)), bit for bit, since |-u| == |u|
+    u = 2.0 * (pts @ s)
+    tail = np.log1p(np.exp(-np.abs(u)))
+    lp = -(np.maximum(-u, 0.0) + tail)
+    ln = -(np.maximum(u, 0.0) + tail)
+    del u, tail  # two fewer node arrays alive beside the terms
+    sp, sn = np.exp(lp), np.exp(ln)
+    if b == 0.0:
+        # d/dt log sigma2(t) = 2 sigma2(-t), and
+        # d2/dt2 log sigma2(+-t) = -4 sigma2(t) sigma2(-t) for both labels
+        k = wts * sp * sn
+        return lp, ln, wts * sn, wts * sp, k, k
+    f1, f0 = np.exp(b * lp), np.exp(b * ln)
+    del lp, ln
+    c1, c0 = wts * f1 * sn, wts * f0 * sp
+    # d/dt [sigma2(t)^b sigma2(-t)] = 2 sigma2(t)^b sigma2(-t) (b sigma2(-t) - sigma2(t))
+    return f1, f0, c1, c0, c1 * (b * sn - sp), c0 * (b * sp - sn)
+
+
 def _mv_neg_objective(prob: PopulationProblem, b: float):
     """Returns f(s) = -O_b(s) with its gradient and its 2x2 Hessian, from
-    one quadrature pass. Each clean component enters both label mixtures,
-    at its label_mixture weight m1 for label 1 and m0 for label 0."""
+    one quadrature pass. The clean class-1 component enters the label-1
+    and label-0 mixtures at weights m11 and m01, the clean class-0 one at
+    m10 and m00.
+
+    When class 0's nodes mirror class 1's (negated, in reverse order, to
+    the bit, as for every rule here with dist0=None), class 0's terms are
+    class 1's reversed with the labels swapped. Its value and gradient
+    sums run over reversed copies in its own node order, which keeps their
+    bits; x x^T is even, so its Hessian terms fold into class 1's."""
     d1 = prob.dist1
     if not isinstance(d1, (MvGaussian, MvUniformBox)):
         raise TypeError("multivariate estimation needs a 2-D covariate distribution")
     if d1.dim != 2:
         raise ValueError("only r = 2 is supported")
     p1, p0 = prob.label_priors
-    comps = [(*nodes_weights(d, prob.rule), m1, m0)
-             for (d, m1), (_, m0) in zip(prob.label_mixture(1), prob.label_mixture(0))]
+    (_, m11), (_, m10) = prob.label_mixture(1)
+    (_, m01), (_, m00) = prob.label_mixture(0)
+    pts1, wts1 = nodes_weights(d1, prob.rule)
+    pts0, wts0 = nodes_weights(prob.clean0, prob.rule)
+    mirrored = np.array_equal(pts0, -pts1[::-1]) and np.array_equal(wts0, wts1[::-1])
 
     def fgh(s):
-        e1 = e0 = g1 = g0 = h1 = h0 = 0.0
-        for pts, wts, m1, m0 in comps:
-            # log_sigma2(+-t) = -softplus(-+u) with u = 2t; both share the
-            # tail log1p(exp(-|u|)), bit for bit, since |-u| == |u|
-            u = 2.0 * (pts @ s)
-            tail = np.log1p(np.exp(-np.abs(u)))
-            lp = -(np.maximum(-u, 0.0) + tail)
-            ln = -(np.maximum(u, 0.0) + tail)
-            sp, sn = np.exp(lp), np.exp(ln)
-            del u, tail  # two fewer node arrays alive beside the Hessian's
+        f1, f0, c1, c0, k1, k0 = _mv_terms(pts1, wts1, s, b)
+        e1, e0 = m11 * (wts1 @ f1), m01 * (wts1 @ f0)
+        g1, g0 = m11 * c1 @ pts1, m01 * c0 @ pts1
+        if mirrored:
+            e1 += m10 * (wts0 @ f0[::-1].copy())
+            e0 += m00 * (wts0 @ f1[::-1].copy())
+            g1 += m10 * c0[::-1] @ pts0
+            g0 += m00 * c1[::-1] @ pts0
+            del f1, f0, c1, c0
             if b == 0.0:
-                e1 += m1 * (wts @ lp)
-                e0 += m0 * (wts @ ln)
-                # d/dt log sigma2(t) = 2 sigma2(-t)
-                g1 += m1 * (wts * sn) @ pts
-                g0 += m0 * (wts * sp) @ pts
-                # d2/dt2 log sigma2(+-t) = -4 sigma2(t) sigma2(-t)
-                k = _weighted_xxt(wts * sp * sn, pts)
-                h1 += m1 * k
-                h0 += m0 * k
+                k = _weighted_xxt(k1, pts1)
+                h1, h0 = (m11 + m10) * k, (m01 + m00) * k
             else:
-                w1 = np.exp(b * lp)
-                w0 = np.exp(b * ln)
-                e1 += m1 * (wts @ w1)
-                e0 += m0 * (wts @ w0)
-                c1, c0 = wts * w1 * sn, wts * w0 * sp
-                g1 += m1 * c1 @ pts
-                g0 += m0 * c0 @ pts
-                # d/dt [sigma2(t)^b sigma2(-t)]
-                #     = 2 sigma2(t)^b sigma2(-t) (b sigma2(-t) - sigma2(t))
-                h1 += m1 * _weighted_xxt(c1 * (b * sn - sp), pts)
-                h0 += m0 * _weighted_xxt(c0 * (b * sp - sn), pts)
+                h1 = _weighted_xxt(m11 * k1 + m10 * k0, pts1)
+                h0 = _weighted_xxt(m01 * k0 + m00 * k1, pts1)
+        else:
+            h1, h0 = m11 * _weighted_xxt(k1, pts1), m01 * _weighted_xxt(k0, pts1)
+            f1, f0, c1, c0, k1, k0 = _mv_terms(pts0, wts0, s, b)
+            e1 += m10 * (wts0 @ f1)
+            e0 += m00 * (wts0 @ f0)
+            g1 += m10 * c1 @ pts0
+            g0 += m00 * c0 @ pts0
+            h1 += m10 * _weighted_xxt(k1, pts0)
+            h0 += m00 * _weighted_xxt(k0, pts0)
         if b == 0.0:
             h = 4.0 * (p1 * h1 + p0 * h0)
             return -(p1 * e1 + p0 * e0), -(p1 * (2.0 * g1) + p0 * (-2.0 * g0)), h

@@ -356,6 +356,7 @@ def _best_pair_from_curve(out_dir):
     return max(pairs, key=lambda p: min(p))
 
 
+@pytest.mark.slow
 def test_criterion_09_weighting_prevents_the_late_slide(mnist_runs):
     an, pl = mnist_runs["analytic"], mnist_runs["plain"]
     drop_an = an["mean_peak_test_acc"] - an["mean_final_test_acc"]
@@ -371,6 +372,7 @@ def test_criterion_09_weighting_prevents_the_late_slide(mnist_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_weights_expose_the_flipped_labels(mnist_runs):
     an = mnist_runs["analytic"]
     min_auc = min(an["per_run_auc"])
@@ -401,6 +403,7 @@ def solver_agreement():
     return noisy, w_an, w_num
 
 
+@pytest.mark.slow
 def test_criterion_11_both_solvers_rank_examples_alike(solver_agreement):
     """Within each class, count ordered pairs the two final weight vectors
     rank in strictly opposite directions; ties never disagree."""
@@ -424,6 +427,7 @@ def test_criterion_11_both_solvers_rank_examples_alike(solver_agreement):
     )
 
 
+@pytest.mark.slow
 def test_criterion_12_budget_arithmetic_and_flat_budget_run(mnist_runs):
     rho = estimate_rho(class_sizes=(1000, 1000), flip_rates=(0.3, 0.1))
     arithmetic_ok = abs(rho[0] - 1.25) < 1e-10 and abs(rho[1] - 5.0 / 6.0) < 1e-10
@@ -471,6 +475,7 @@ def _metric_blobs(out_dir):
     return blobs
 
 
+@pytest.mark.slow
 def test_criterion_13_reruns_are_byte_identical(mnist_runs):
     a = _metric_blobs(mnist_runs["analytic_dir"])
     b = _metric_blobs(mnist_runs["analytic_repeat_dir"])

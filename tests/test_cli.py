@@ -2,6 +2,7 @@
 
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +498,38 @@ def test_theory_mv_report_survives_an_optimiser_failure(tmp_path, monkeypatch):
     failed = {e["key"]: e for e in entries if e["pass"] is False}
     for box in ("box1", "box2"):
         assert failed[f"{box}_b_star"]["target"] == "no finite maximiser found"
+
+
+def test_theory_reports_make_each_estimate_once(monkeypatch):
+    """One theory-1d and one theory-mv report make each 1-D estimate, keyed
+    by (problem, b), once; and no root search evaluates its score twice at
+    one point, so brentq takes its bracket ends from the expansion."""
+    made = Counter()
+    real_estimate, real_m = theory.weighted_estimator_1d, theory._m_function
+
+    def counted(prob, b):
+        made[prob, b] += 1
+        return real_estimate(prob, b)
+
+    scores = []
+
+    def recorded(prob, b):
+        m, points = real_m(prob, b), []
+        scores.append(points)
+
+        def score(s):
+            points.append(s)
+            return m(s)
+
+        return score
+
+    monkeypatch.setattr(theory, "weighted_estimator_1d", counted)
+    monkeypatch.setattr(theory, "_m_function", recorded)
+    cli._report_theory_1d(validate_config(load_config(None, ["kind=theory-1d"])))
+    cli._report_theory_mv(validate_config(load_config(None, ["kind=theory-mv"])))
+    assert made and scores
+    assert max(made.values()) == 1, [k for k, n in made.items() if n > 1]
+    assert all(len(points) == len(set(points)) for points in scores)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,7 @@ def _class_grid(total, size, step=0.01):
     return np.column_stack([a[keep], b[keep], np.maximum(rest[keep], 0.0)])
 
 
+@pytest.mark.slow
 def test_closed_form_beats_simplex_grid():
     """Because the objective separates over classes, sweep each class's
     constrained simplex on a 0.01 lattice and compare against the closed

@@ -131,6 +131,28 @@ def test_negate_flips_the_distribution():
     assert abs(expect(dd, lambda x: x) + 1.25) < 1e-12
 
 
+@pytest.mark.parametrize("nodes", [32, 64, 96])
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Gaussian(0.37, 2.1),
+        Uniform(-1.0, 3.0),
+        MvGaussian((0.3, -1.7), ((2.0, -0.4), (-0.4, 1.5))),
+        MvUniformBox([[-1.0, 3.0], [-0.25, 1.25]]),
+    ],
+    ids=["gaussian", "uniform", "mv-gaussian", "mv-box"],
+)
+def test_negation_mirrors_the_quadrature_nodes(dist, nodes):
+    """-X's nodes are X's negated in reverse order and its weights X's
+    reversed, to the bit: the 2-D objective evaluates -X's integrands on
+    X's nodes."""
+    rule = QuadratureRule(nodes)
+    pts, wts = nodes_weights(dist, rule)
+    neg_pts, neg_wts = nodes_weights(negate(dist), rule)
+    assert np.array_equal(neg_pts, -pts[::-1])
+    assert np.array_equal(neg_wts, wts[::-1])
+
+
 # ---------------------------------------------------------------------------
 # stable primitives
 
@@ -290,7 +312,8 @@ def test_bstar_is_zero_when_the_unweighted_estimate_is_within_tol(monkeypatch):
     """s(0) a rounding step above s* gives the bracket [0, 0.5] no sign
     change; within tol, b = 0 already recovers s*."""
     s0 = weighted_estimator_1d(GAUSS_PROB, 0.0)
-    monkeypatch.setattr(theory, "clean_estimator_1d", lambda prob: s0 * (1.0 - 1e-12))
+    monkeypatch.setattr(theory, "clean_estimator_1d",
+                        lambda prob, estimate=None: s0 * (1.0 - 1e-12))
     assert find_bstar_1d(GAUSS_PROB) == 0.0
 
 
@@ -373,6 +396,15 @@ def test_grid_estimate_is_refined_inside_its_bracket(monkeypatch):
         lo, hi = max(k - 1, 0), k + 1
         assert grid[lo] <= s <= grid[hi], b
         assert weighted_objective_1d(prob, b, s) >= vals[lo:hi + 1].max(), b
+
+
+def test_grid_estimate_is_zero_where_the_profile_does_not_rise():
+    """Here the flipped class-1 labels put more covariate mass on label 0
+    than on label 1 (noisy label contrast p1 m1 - p0 m0 = -0.19), so O_0
+    falls from s = 0 on and the estimate is exactly 0, as on the
+    symmetric route."""
+    prob = PopulationProblem(Gaussian(0.6, 1.0), dist0=Gaussian(0.5, 1.0), q=(0.4, 0.0))
+    assert noisy_estimator_1d(prob) == 0.0
 
 
 def test_hypothesis_checks_on_signal_sign():
