@@ -562,7 +562,8 @@ def _report_theory_mv(cfg: dict) -> list[dict]:
         u = np.asarray(case.u)
         for b in (0.0, 0.3, 0.6, 0.9):
             s_b = theory.general_mv_estimator(noisy, b)
-            angle = math.acos(min(1.0, abs(float(s_b @ u)) / float(np.linalg.norm(s_b))))
+            # atan2 keeps the digits that acos of a cosine near 1 loses
+            angle = math.atan2(abs(float(s_b[0] * u[1] - s_b[1] * u[0])), abs(float(s_b @ u)))
             entries.append(_entry(f"direction_angle_b_{b}", angle, tol=1e-3, passed=angle < 1e-3))
         # the coefficient at b* is an estimate the b* search has made
         estimate = functools.cache(theory.weighted_estimator_1d)

@@ -96,31 +96,34 @@ class BudgetError(ValueError):
 
 
 def class_members(labels: np.ndarray, n_classes: int, valid=None):
-    """(member, count): member (..., n, K) is True where an entry is valid
+    """(member, count): member (..., K, n) is True where an entry is valid
     and of class k; count (..., K) is the number of such entries."""
-    member = np.eye(n_classes, dtype=bool)[labels]
     if valid is not None:
-        member &= valid[..., None]
-    return member, member.sum(axis=-2)
+        labels = np.where(valid, labels, -1)  # of no class
+    member = labels[..., None, :] == np.arange(n_classes)[:, None]
+    return member, member.sum(axis=-1)
 
 
 def _scale(spread: np.ndarray, count: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """The weights scaled so each class within each row sums to rho_c times
-    its count in that row; spread (..., n, K) holds each entry's weight in
-    its class column and 0 elsewhere, so entries of no class get weight 0."""
+    its count in that row; spread (..., K, n) holds each entry's weight in
+    its class's row and 0 elsewhere, so entries of no class get weight 0."""
+    # the sums run over the (..., n, K) layout: its BLAS calls fix the bits
+    spread = np.ascontiguousarray(spread.swapaxes(-1, -2))
     total = np.ones(spread.shape[-2]) @ spread
-    dead = (count > 0) & (total <= 0.0)
+    present = count > 0
+    dead = present & (total <= 0.0)
     if dead.any():
         c = int(dead.reshape(-1, rho.size).any(axis=0).argmax())
         raise BudgetError(f"all weights of class {c} are zero", dead[..., c])
     # one product per entry: its weight times its class's factor, plus zeros
-    return (spread @ (rho * count / np.where(count > 0, total, 1.0))[..., None])[..., 0]
+    return (spread @ (rho * count / np.where(present, total, 1.0))[..., None])[..., 0]
 
 
 def scale_members(omega: np.ndarray, member: np.ndarray, count: np.ndarray,
                   rho: np.ndarray) -> np.ndarray:
     """scale_to_budgets for the class membership (member, count) of class_members."""
-    omega[...] = _scale(member * omega[..., None], count, rho)
+    omega[...] = _scale(member * omega[..., None, :], count, rho)
     return omega
 
 
@@ -136,10 +139,11 @@ def scale_to_budgets(omega: np.ndarray, labels: np.ndarray, rho: np.ndarray,
 def member_weights(losses: np.ndarray, member: np.ndarray, count: np.ndarray, rho: np.ndarray,
                    alpha: float) -> np.ndarray:
     """closed_form_weights for the class membership (member, count) of class_members."""
-    t = (losses / -alpha)[..., None]
-    top = np.where(member, t, -np.inf).max(axis=-2, keepdims=True)
-    spread = np.zeros(np.broadcast(t, member).shape)
-    return _scale(np.exp(t - top, out=spread, where=member), count, rho)
+    # -loss/alpha in each entry's class row, -inf (weight 0) elsewhere
+    spread = np.where(member, (losses / -alpha)[..., None, :], -np.inf)
+    top = spread.max(axis=-1, keepdims=True)
+    np.subtract(spread, top, out=spread, where=member)
+    return _scale(np.exp(spread, out=spread), count, rho)
 
 
 def closed_form_weights(losses: np.ndarray, labels: np.ndarray, rho: np.ndarray,

@@ -7,10 +7,16 @@ and checked against finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, log_expit
+
+# OpenBLAS runs a product of at most 2**18 multiply-adds on one thread; larger
+# ones wake worker threads that then spin through the steps' small products
+_ONE_THREAD_MACS = 2**18
+
 
 class ShapeError(ValueError):
     pass
@@ -22,12 +28,6 @@ class NumericError(FloatingPointError):
     def __init__(self, msg: str, bad: np.ndarray):
         super().__init__(msg)
         self.bad = bad
-
-
-def _raise_nonfinite(x: np.ndarray, what: str, layer: int) -> None:
-    if not np.isfinite(x).all():
-        bad = ~np.isfinite(x).all(axis=(-2, -1))
-        raise NumericError(f"non-finite {what} at layer {layer}", bad)
 
 
 @dataclass
@@ -53,10 +53,8 @@ class MlpParams:
             if w.ndim < 2 or b.shape != w.shape[:-2] + w.shape[-1:]:
                 raise ShapeError(f"layer {i}: weight {w.shape} vs bias {b.shape}")
             if i > 0 and self.weights[i - 1].shape[-1] != w.shape[-2]:
-                raise ShapeError(
-                    f"layer {i - 1} emits {self.weights[i - 1].shape[-1]} features, "
-                    f"layer {i} expects {w.shape[-2]}"
-                )
+                raise ShapeError(f"layer {i - 1} emits {self.weights[i - 1].shape[-1]} "
+                                 f"features, layer {i} expects {w.shape[-2]}")
         if self.weights[-1].shape[-1] != 1:
             raise ShapeError("the logistic head needs a single final unit")
 
@@ -71,11 +69,8 @@ class MlpParams:
 
     def flatten(self) -> np.ndarray:
         """Flattened parameter vector, one row per stacked net; inverse of unflatten."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.reshape(*w.shape[:-2], -1))
-            parts.append(b)
-        return np.concatenate(parts, axis=-1)
+        return np.concatenate([a for w, b in zip(self.weights, self.biases)
+                               for a in (w.reshape(*w.shape[:-2], -1), b)], axis=-1)
 
     def unflatten(self, vec: np.ndarray) -> "MlpParams":
         """Parameters laid out as flatten() lays them out, one net per row of
@@ -83,13 +78,16 @@ class MlpParams:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape[-1:] != (self.n_params,):
             raise ShapeError(f"expected {self.n_params} parameters, got {vec.shape}")
+        return MlpParams(*self._views(vec))
+
+    def _views(self, vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         weights, biases, k = [], [], 0
         for w, b in zip(self.weights, self.biases):
             n_w = w.shape[-2] * w.shape[-1]
             weights.append(vec[..., k : k + n_w].reshape(*vec.shape[:-1], *w.shape[-2:]))
             biases.append(vec[..., k + n_w : k + n_w + b.shape[-1]])
             k += n_w + b.shape[-1]
-        return MlpParams(weights, biases)
+        return weights, biases
 
     def copy(self) -> "MlpParams":
         return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
@@ -123,29 +121,51 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> ForwardCache:
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != params.n_in:
         raise ShapeError(f"batch {x.shape} does not match input width {params.n_in}")
-    pre_acts, acts = [], []
-    a = x
-    last = len(params.weights) - 1
+    # every pre-activation is a view of one buffer, so one test covers them
+    # all; a shared batch takes the stack's leading axes
+    lead = (x.shape[:-2] or params.weights[0].shape[:-2]) + x.shape[-2:-1]
+    buf = np.empty(math.prod(lead) * sum(w.shape[-1] for w in params.weights))
+    pre_acts, acts, a, k = [], [], x, 0
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w
+        z = buf[k : k + math.prod(lead) * w.shape[-1]].reshape(*lead, w.shape[-1])
+        step = max(1, _ONE_THREAD_MACS // (w.shape[-2] * w.shape[-1]))
+        if lead[-1] <= step:
+            np.matmul(a, w, out=z)
+        else:  # row blocks, of the same shapes alone and stacked
+            for r in range(0, lead[-1], step):
+                np.matmul(a[..., r : r + step, :], w, out=z[..., r : r + step, :])
         z += b[..., None, :]
-        _raise_nonfinite(z, "pre-activation", i)
+        k += z.size
         pre_acts.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
+        a = z if i == len(params.weights) - 1 else np.maximum(z, 0.0)
         acts.append(a)
+    if not np.isfinite(buf).all():  # name the first such layer and its failed nets
+        bad = [~np.isfinite(z).all(axis=(-2, -1)) for z in pre_acts]
+        i = next(i for i, b in enumerate(bad) if b.any())
+        raise NumericError(f"non-finite pre-activation at layer {i}", bad[i])
     return ForwardCache(inputs=x, pre_acts=pre_acts, acts=acts, scores=pre_acts[-1][..., 0])
 
 
-def _signs(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """-2s for each label y, with s = 2y - 1: the loss is softplus(-2s z).
-    Labels of shape (n,) are shared by all stacked nets, (R, n) give one
-    row per net."""
+class Signs(np.ndarray):
+    """Labels y checked once, as -2s with s = 2y - 1 (the loss is softplus(-2s z)):
+    per_example_loss and weighted_backward take them unchecked. Slices stay Signs."""
+
+
+def label_signs(labels: np.ndarray) -> Signs:
+    """The Signs of integer labels in [0, 2); ValueError for any other label."""
     labels = np.asarray(labels)
-    if labels.shape != scores.shape[scores.ndim - labels.ndim :]:
-        raise ShapeError(f"labels {labels.shape} vs scores {scores.shape}")
     if labels.dtype.kind not in "iu" or labels.min(initial=0) < 0 or labels.max(initial=0) > 1:
         raise ValueError("labels must be integers in [0, 2)")
-    return 2.0 - 4.0 * labels
+    return (2.0 - 4.0 * labels).view(Signs)
+
+
+def _signs(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """-2s for labels or their Signs, as a plain array. Labels of shape (n,)
+    are shared by all stacked nets, (R, n) give one row per net."""
+    signs = labels if isinstance(labels, Signs) else label_signs(labels)
+    if signs.shape != scores.shape[scores.ndim - signs.ndim :]:
+        raise ShapeError(f"labels {signs.shape} vs scores {scores.shape}")
+    return signs.view(np.ndarray)
 
 
 def per_example_loss(cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
@@ -155,41 +175,28 @@ def per_example_loss(cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
     return -log_expit(_signs(cache.scores, labels) * -cache.scores)
 
 
-def weighted_backward(
-    params: MlpParams,
-    cache: ForwardCache,
-    labels: np.ndarray,
-    omega: np.ndarray,
-    lam: float = 0.0,
-) -> np.ndarray:
-    """Gradient of sum_i omega_i * loss_i + (lam/2)*||theta||^2, flattened
-    (one row per stacked net)."""
+def weighted_backward(params: MlpParams, cache: ForwardCache, labels: np.ndarray,
+                      omega: np.ndarray, lam: float = 0.0,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of sum_i omega_i * loss_i + (lam/2)*||theta||^2, flattened (one row
+    per stacked net), written into out when given. Unchecked: a non-finite gradient
+    makes the parameters it updates non-finite, which the next mlp_forward reports."""
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != cache.scores.shape:
         raise ShapeError(f"omega {omega.shape} vs scores {cache.scores.shape}")
-    if (omega < 0).any():
+    if omega.min(initial=0.0) < 0:
         raise ValueError("observation weights must be nonnegative")
-
     # d/dz softplus(-2s z) = -2s sigma(-2s z)
     signs = _signs(cache.scores, labels)
     d_z = (signs * omega * expit(signs * cache.scores))[..., None]
-
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
+    grad = np.empty(cache.scores.shape[:-1] + (params.n_params,)) if out is None else out
+    grads_w, grads_b = params._views(grad)
     for i in range(len(params.weights) - 1, -1, -1):
         a_prev = cache.inputs if i == 0 else cache.acts[i - 1]
-        grads_w[i] = a_prev.swapaxes(-1, -2) @ d_z
-        grads_b[i] = d_z.sum(axis=-2)
-        _raise_nonfinite(grads_w[i], "gradient", i)
-        if i > 0:
-            d_a = d_z @ params.weights[i].swapaxes(-1, -2)
-            d_z = d_a * (cache.pre_acts[i - 1] > 0.0)  # the relu derivative, as 1.0 and 0.0
-
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.reshape(*gw.shape[:-2], -1))
-        parts.append(gb)
-    grad = np.concatenate(parts, axis=-1)
+        np.matmul(a_prev.swapaxes(-1, -2), d_z, out=grads_w[i])
+        np.add.reduce(d_z, axis=-2, out=grads_b[i])
+        if i > 0:  # the relu derivative, as 1.0 and 0.0
+            d_z = (d_z @ params.weights[i].swapaxes(-1, -2)) * (cache.pre_acts[i - 1] > 0.0)
     if lam != 0.0:
         grad += lam * params.flatten()
     return grad

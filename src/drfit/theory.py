@@ -674,7 +674,7 @@ def _mv_maximise(prob: PopulationProblem, b: float, starts=None, gtol: float = 1
     fgh = _mv_neg_objective(prob, b)
     if starts is None:
         starts = [c * np.ones(2) for c in _MV_START_SCALES]
-    best, best_val, converged = None, math.inf, False
+    best, best_val, best_grad, converged = None, math.inf, math.inf, False
     nit, max_grad = 0, 0.0
     for x0 in starts:
         res = optimize.minimize(fgh, np.asarray(x0, dtype=float), method=_newton,
@@ -682,8 +682,11 @@ def _mv_maximise(prob: PopulationProblem, b: float, starts=None, gtol: float = 1
         grad_norm = float(np.linalg.norm(res.jac))
         nit += res.nit
         max_grad = max(max_grad, grad_norm)
-        if res.fun < best_val:
-            best, best_val = res.x, res.fun
+        # values within rounding of each other (as _newton judges it) do not
+        # rank the starts; among them the better converged solve wins
+        tied = abs(res.fun - best_val) <= 4.0 * _EPS * abs(res.fun)
+        if (grad_norm < best_grad) if tied else (res.fun < best_val):
+            best, best_val, best_grad = res.x, res.fun, grad_norm
         # a solve can stop short of gtol at the gradient's rounding floor,
         # at an excellent point, so judge convergence by the gradient
         # rather than the status flag

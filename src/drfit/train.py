@@ -27,7 +27,8 @@ import numpy as np
 from .core import (BudgetError, ClassPartition, ConfigError, DrFitConfig, analytic_weights,
                    class_members, member_weights, scale_members)
 from .data import LabeledDataset
-from .nn import MlpParams, NumericError, mlp_forward, per_example_loss, weighted_backward
+from .nn import (MlpParams, NumericError, label_signs, mlp_forward, per_example_loss,
+                 weighted_backward)
 
 _LOG_CLAMP = 1e-8
 
@@ -60,20 +61,15 @@ class TrainConfig:
     solver: str = "analytic"
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError("epochs must be nonnegative")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.update_frequency < 1:
-            raise ConfigError("update_frequency must be at least 1")
-        if not self.theta_lr > 0:
-            raise ConfigError("theta_lr must be positive")
-        if self.omega_lr < 0:
-            raise ConfigError("omega_lr must be nonnegative")
-        if self.burn_in < 0:
-            raise ConfigError("burn_in must be nonnegative")
-        if self.solver not in SOLVERS:
-            raise ConfigError(f"solver must be one of {SOLVERS}")
+        for bad, msg in ((self.epochs < 0, "epochs must be nonnegative"),
+                         (self.batch_size < 1, "batch_size must be at least 1"),
+                         (self.update_frequency < 1, "update_frequency must be at least 1"),
+                         (not self.theta_lr > 0, "theta_lr must be positive"),
+                         (self.omega_lr < 0, "omega_lr must be nonnegative"),
+                         (self.burn_in < 0, "burn_in must be nonnegative"),
+                         (self.solver not in SOLVERS, f"solver must be one of {SOLVERS}")):
+            if bad:
+                raise ConfigError(msg)
 
 
 def _accuracy(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -117,16 +113,15 @@ def _stratified_batches(part: ClassPartition, batch_size: int, rng) -> list[np.n
 
 
 def _padded(dealt: list[list[np.ndarray]], width: int):
-    """(nets, steps, width) row indices of each net's batches, each padded by
+    """(steps, nets, width) row indices of each net's batches, each padded by
     repeating its last row, and the mask of real rows (none past a net's last batch)."""
     sizes = np.zeros((len(dealt), max(map(len, dealt))), dtype=np.int64)
     for r, batches in enumerate(dealt):
         sizes[r, : len(batches)] = [b.size for b in batches]
-    starts = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
-    cols = np.arange(width)
+    starts = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape).T[..., None]
+    cols, sizes = np.arange(width), sizes.T[..., None]
     rows = np.concatenate([b for batches in dealt for b in batches])
-    idx = rows[starts[..., None] + np.minimum(cols, sizes[..., None] - 1)]
-    return idx, cols < sizes[..., None]
+    return rows[starts + np.minimum(cols, sizes - 1)], cols < sizes
 
 
 def train(data, dr, tr, init, val=None, test=None):
@@ -143,6 +138,7 @@ def train(data, dr, tr, init, val=None, test=None):
     nets = [init] if isinstance(init, MlpParams) else list(init)
     part = ClassPartition.from_labels(data.labels)
     rho, labels, features = dr.rho_for(part.n_classes), data.labels, data.features
+    signs = label_signs(labels)  # the labels' one check, before any step
     n_batches = max(1, math.ceil(part.n / tr.batch_size))
     # the widest batch dealing can make; padding every net's batches to it
     # keeps each net's arithmetic independent of the others in the stack
@@ -153,18 +149,18 @@ def train(data, dr, tr, init, val=None, test=None):
     history = np.zeros((len(names), len(nets), tr.epochs))
     # one row of flat per net; params are views of it, so one subtraction steps them all
     flat = np.stack([p.flatten() for p in nets])
-    live, params = np.arange(len(nets)), nets[0].unflatten(flat)
+    live, params, grad = np.arange(len(nets)), nets[0].unflatten(flat), np.empty_like(flat)
     rows = live[:, None]
     # column n of omega stays 0: padded batch entries read and write it
     omega = np.tile(np.append(rho[labels], 0.0), (len(nets), 1))
-    plan, epoch = (np.zeros((len(nets), 0)),) * 6, 0
+    plan, epoch = (np.zeros((0, len(nets))),) * 6, 0
     # (cache, losses) of the weight step's forward pass when one batch holds
     # every example, in index order: the epoch end's pass at the same parameters
     fresh = None
 
     def attempt(step):
         """step() once it returns; each failure first drops the failed nets."""
-        nonlocal live, rows, flat, params, omega, plan, fresh
+        nonlocal live, rows, flat, params, grad, omega, plan, fresh
         while live.size:
             try:
                 return step()
@@ -175,20 +171,20 @@ def train(data, dr, tr, init, val=None, test=None):
                                   else TrainingError(f"training diverged: {exc}", epoch))
                 keep = ~exc.bad
                 live, flat, omega = live[keep], flat[keep], omega[keep]
-                params, plan = params.unflatten(flat), tuple(a[keep] for a in plan)
-                rows, fresh = np.arange(live.size)[:, None], None
+                params, plan = params.unflatten(flat), tuple(a[:, keep] for a in plan)
+                rows, grad, fresh = np.arange(live.size)[:, None], np.empty_like(flat), None
 
     def theta_step(k):
-        ix, spot, lr, y, member, count = (a[:, k] for a in plan)
+        ix, spot, lr, y, member, count = (a[k] for a in plan)
         cache = mlp_forward(params, features[ix])
         omega_s = (member_weights(per_example_loss(cache, y), member, count, rho, dr.alpha)
                    if tr.solver == "analytic" else omega[rows, spot])
-        grad = weighted_backward(params, cache, y, omega_s, dr.lam)
-        flat[...] -= np.multiply(grad, lr[:, None], out=grad)
+        g = weighted_backward(params, cache, y, omega_s, dr.lam, out=grad)
+        np.subtract(flat, np.multiply(g, lr, out=g), out=flat)
 
     def omega_step(k):
         nonlocal fresh
-        ix, spot, _, y, member, count = (a[:, k] for a in plan)
+        ix, spot, _, y, member, count = (a[k] for a in plan)
         prev = omega[rows, spot]
         cache = mlp_forward(params, features[ix])
         losses = per_example_loss(cache, y)
@@ -201,7 +197,7 @@ def train(data, dr, tr, init, val=None, test=None):
     def epoch_end():
         if fresh is None:
             cache = mlp_forward(params, features)
-            losses = per_example_loss(cache, labels)
+            losses = per_example_loss(cache, signs)
         else:
             cache, losses = fresh
         loss = losses.mean(axis=-1)
@@ -217,12 +213,11 @@ def train(data, dr, tr, init, val=None, test=None):
         if epoch == 1 or n_batches > 1:  # one batch holds every example, in index order
             idx, valid = _padded([_stratified_batches(part, tr.batch_size, rngs[r]) for r in live],
                                  width)
-            y = labels[idx]
             # a net without a batch at a step skips it, ridge term included
             plan = (idx, np.where(valid, idx, labels.size),
-                    np.where(valid.any(axis=-1), tr.theta_lr, 0.0), y,
-                    *class_members(y, rho.size, valid))
-        for k in range(plan[0].shape[1]):
+                    np.where(valid.any(axis=-1, keepdims=True), tr.theta_lr, 0.0), signs[idx],
+                    *class_members(labels[idx], rho.size, valid))
+        for k in range(len(plan[0])):
             attempt(lambda: theta_step(k))
             if update_weights:
                 attempt(lambda: omega_step(k))
@@ -233,7 +228,7 @@ def train(data, dr, tr, init, val=None, test=None):
 
     if tr.solver == "analytic":
         omega = attempt(lambda: analytic_weights(
-            per_example_loss(mlp_forward(params, features), labels), part, dr))
+            per_example_loss(mlp_forward(params, features), signs), part, dr))
     for j, r in enumerate(live):
         results[r] = (params.unflatten(flat[j]).copy(), omega[j, : labels.size],
                       dict(zip(names, history[:, r])))

@@ -668,6 +668,24 @@ def test_newton_solve_agrees_with_a_bfgs_oracle(name):
             assert np.array_equal(res.x, theory.general_mv_estimator(prob, b, starts=[x0]))
 
 
+def test_starts_tied_in_value_keep_the_best_converged_solve():
+    """The Gaussian problem's three starts stop at values equal to within
+    rounding at every b; the estimate is then the solve that ends with the
+    smallest gradient. At b = 0.9 the lowest value belongs to the least
+    converged solve (|g| 8e-13, against 4e-14 and 2e-18), which must not win."""
+    prob = _MV_PROBLEMS["gaussian"]
+    for b in (0.0, 0.3, 0.6, 0.9):
+        fgh = theory._mv_neg_objective(prob, b)
+        runs = [optimize.minimize(fgh, scale * np.ones(2), method=theory._newton,
+                                  options={"gtol": 1e-12, "maxiter": 1000})
+                for scale in theory._MV_START_SCALES]
+        values = [res.fun for res in runs]
+        assert max(values) - min(values) <= 4.0 * theory._EPS * abs(min(values)), b
+        best = min(runs, key=lambda res: np.linalg.norm(res.jac))
+        assert np.array_equal(theory.general_mv_estimator(prob, b), best.x), b
+    assert min(runs, key=lambda res: res.fun) is not best
+
+
 # ---------------------------------------------------------------------------
 # objective-profile scanning
 

@@ -463,3 +463,42 @@ def test_nets_failing_at_later_epochs_leave_the_others_bit_for_bit():
         assert np.array_equal(w1, w0)
         _assert_same_trace(t1, t0)
         assert t1["val_acc"].shape == (tr.epochs,)
+
+
+def test_a_hidden_layer_overflow_fails_at_its_epoch_and_leaves_the_others_alone():
+    """One finiteness test per forward pass still drops the right net at the
+    right epoch: a net whose second hidden layer's pre-activation overflows
+    in epoch 3 (the epoch at which a test of every layer and every gradient
+    dropped it) fails then, naming that layer, and the others end bit for
+    bit as they end alone."""
+    ds = _toy_data(n=66, seed=21)
+    dr = DrFitConfig(alpha=0.5, lam=0.0, rho=(1.0, 1.0))
+    tr = TrainConfig(epochs=5, batch_size=16, theta_lr=0.05, seed=30, solver="analytic")
+    nets = [init_params([2, 4, 4, 1], seed=40 + r) for r in range(3)]
+    nets[1].weights[1] *= 1e50
+    nets[1].weights[2] *= 1e-100
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = train(ds, dr, tr, nets)
+    assert isinstance(results[1], TrainingError) and results[1].epoch == 3
+    assert "non-finite pre-activation at layer 1 (epoch 3)" in str(results[1])
+    for r in (0, 2):
+        (p1, w1, t1), (p0, w0, t0) = results[r], train(
+            ds, dr, dataclasses.replace(tr, seed=30 + r), nets[r])
+        assert np.array_equal(p1.flatten(), p0.flatten())
+        assert np.array_equal(w1, w0)
+        _assert_same_trace(t1, t0)
+
+
+def test_a_label_outside_the_classes_fails_before_the_first_step(monkeypatch):
+    """The labels are checked once per run, before any step: a label 2
+    raises ValueError before the first forward pass."""
+    ds = _toy_data()
+    labels = ds.labels.copy()
+    labels[5] = 2
+    passes = []
+    monkeypatch.setattr(train_module, "mlp_forward", lambda *args: passes.append(args))
+    tr = TrainConfig(epochs=2, batch_size=16, theta_lr=0.05)
+    with pytest.raises(ValueError, match=r"labels must be integers in \[0, 2\)"):
+        train(LabeledDataset(ds.features, labels), DrFitConfig(alpha=0.5), tr,
+              init_params([2, 4, 1], seed=1))
+    assert passes == []
