@@ -190,7 +190,9 @@ def _typed(value, default, key: str = ""):
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or not math.isfinite(number) or isinstance(value, float) and number != value:
+    # a bool is an int to Python, but no number key takes one
+    if (number is None or isinstance(value, bool) or not math.isfinite(number)
+            or isinstance(value, float) and number != value):
         raise ConfigError(f"{key} must be a finite {kind.__name__}, got {value!r}")
     return number
 
@@ -206,7 +208,8 @@ def validate_config(cfg: dict) -> dict:
     t = cfg["theory"]
     try:
         TrainConfig(**cfg["train"])
-        theory.PopulationProblem(theory.Gaussian(t["mean"], t["var"]), q=t["q"], nodes=t["nodes"]).rule
+        prob = theory.PopulationProblem(theory.Gaussian(t["mean"], t["var"]), q=t["q"])
+        theory.nodes_weights(prob.dist1, t["nodes"])
         DrFitConfig(cfg["drfit"]["alpha"], cfg["drfit"]["lam"], rho if isinstance(rho, list) else None)
         [DrFitConfig(a, lam) for a in sweep["alpha_grid"] for lam in sweep["lam_grid"]]
         _noise_spec(cfg)
@@ -216,7 +219,8 @@ def validate_config(cfg: dict) -> dict:
     for ok, message in (
         (cfg["replications"] >= 1, "replications must be at least 1"),
         (len(rates) == 2, "noise.rates needs one rate per class, 2 in all"),
-        (rho in ("auto", None) or isinstance(rho, list) and len(rho) == len(rates),
+        (rho in ("auto", None) or isinstance(rho, list) and len(rho) == len(rates)
+         and not any(isinstance(r, bool) for r in rho),
          "drfit.rho must be 'auto', null or one positive number per noise rate"),
         (0 < d["val_fraction"] < 1, "data.val_fraction must lie in (0, 1)"),
         (d["n"] > 0 and d["n"] % 2 == 0, "data.n must be a positive even number"),

@@ -59,33 +59,6 @@ class DrFitConfig:
         return np.asarray(self.rho)
 
 
-@dataclass
-class ClassPartition:
-    """Disjoint per-class index sets covering all training examples."""
-
-    classes: list[np.ndarray]
-
-    def __post_init__(self):
-        self.classes = [np.asarray(ix, dtype=np.int64) for ix in self.classes]
-        seen = np.concatenate(self.classes) if self.classes else np.array([], dtype=np.int64)
-        if len(np.unique(seen)) != len(seen):
-            raise ConfigError("class index sets overlap")
-
-    @classmethod
-    def from_labels(cls, labels: np.ndarray, n_classes: int | None = None) -> "ClassPartition":
-        labels = np.asarray(labels)
-        k = int(n_classes if n_classes is not None else labels.max() + 1)
-        return cls([np.flatnonzero(labels == c) for c in range(k)])
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
-
-    @property
-    def n(self) -> int:
-        return sum(len(ix) for ix in self.classes)
-
-
 class BudgetError(ValueError):
     """Every weight of some class is zero; `bad` marks the failed rows of a
     stacked weight array (a 0-d array for one row)."""
@@ -155,36 +128,40 @@ def closed_form_weights(losses: np.ndarray, labels: np.ndarray, rho: np.ndarray,
     return member_weights(losses, *class_members(labels, rho.size, valid), rho, alpha)
 
 
-def analytic_weights(losses: np.ndarray, part: ClassPartition, cfg: DrFitConfig) -> np.ndarray:
+def _class_sizes(labels: np.ndarray, n: int) -> np.ndarray:
+    """|C_k| for k = 0 .. max label, for the labels of n examples; an empty
+    class is a ConfigError."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"{labels.size} labels for {n} examples")
+    count = np.bincount(labels)
+    if not count.all():
+        raise ConfigError(f"class {int(count.argmin())} has no examples")
+    return count
+
+
+def analytic_weights(losses: np.ndarray, labels: np.ndarray, cfg: DrFitConfig) -> np.ndarray:
     """Closed-form optimal weights: per-class softmax of -loss/alpha,
     scaled so each class sums to rho_k |C_k|."""
-    losses = np.asarray(losses, dtype=np.float64)
+    losses, labels = np.asarray(losses, dtype=np.float64), np.asarray(labels)
     if not np.all(np.isfinite(losses)):
         raise ValueError("losses must be finite")
-    if part.n != losses.shape[-1]:
-        raise ValueError(f"partition covers {part.n} of {losses.shape[-1]} examples")
-    labels = np.empty(part.n, dtype=np.int64)
-    for k, idx in enumerate(part.classes):
-        if len(idx) == 0:
-            raise ConfigError(f"class {k} has no examples")
-        labels[idx] = k
-    return closed_form_weights(losses, labels, cfg.rho_for(part.n_classes), cfg.alpha)
+    rho = cfg.rho_for(_class_sizes(labels, losses.shape[-1]).size)
+    return closed_form_weights(losses, labels, rho, cfg.alpha)
 
 
-def reduced_loss(
-    losses: np.ndarray, theta_sq: float, part: ClassPartition, cfg: DrFitConfig
-) -> float:
+def reduced_loss(losses: np.ndarray, theta_sq: float, labels: np.ndarray,
+                 cfg: DrFitConfig) -> float:
     """h(theta) for the given per-example losses and ||theta||^2."""
-    losses = np.asarray(losses, dtype=np.float64)
-    rho = cfg.rho_for(part.n_classes)
+    losses, labels = np.asarray(losses, dtype=np.float64), np.asarray(labels)
+    count = _class_sizes(labels, losses.size)
+    rho = cfg.rho_for(count.size)
     h = 0.5 * cfg.lam * theta_sq
-    for k, idx in enumerate(part.classes):
-        if len(idx) == 0:
-            raise ConfigError(f"class {k} has no examples")
-        lk = losses[idx]
+    for k, n_k in enumerate(count):
+        lk = losses[labels == k]
         m = lk.min()  # subtract the dominant term so the exponentials cannot overflow
         lse = -m / cfg.alpha + np.log(np.exp(-(lk - m) / cfg.alpha).sum())
-        h -= cfg.alpha * rho[k] * len(idx) * lse
+        h -= cfg.alpha * rho[k] * n_k * lse
     return float(h)
 
 
@@ -192,7 +169,7 @@ def reduced_loss_grad(
     per_example_grads: np.ndarray,
     losses: np.ndarray,
     theta: np.ndarray,
-    part: ClassPartition,
+    labels: np.ndarray,
     cfg: DrFitConfig,
 ) -> np.ndarray:
     """Gradient of h: the analytic-weight combination of per-example
@@ -201,7 +178,7 @@ def reduced_loss_grad(
     theta = np.asarray(theta, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[1] != theta.shape[0]:
         raise ValueError(f"gradient rows {grads.shape} do not match theta {theta.shape}")
-    w = analytic_weights(losses, part, cfg)
+    w = analytic_weights(losses, labels, cfg)
     return w @ grads + cfg.lam * theta
 
 
@@ -224,9 +201,9 @@ def full_objective(
     return float(omega @ losses + cfg.alpha * entropy_penalty(omega) + 0.5 * cfg.lam * theta_sq)
 
 
-def objective_constant(part: ClassPartition, cfg: DrFitConfig) -> float:
+def objective_constant(labels: np.ndarray, cfg: DrFitConfig) -> float:
     """alpha * sum_k (n_k log n_k - n_k), n_k = rho_k |C_k|: the constant
     separating full_objective at the analytic weights from reduced_loss."""
-    rho = cfg.rho_for(part.n_classes)
-    n_k = np.array([rho[k] * len(idx) for k, idx in enumerate(part.classes)])
+    count = _class_sizes(labels, np.size(labels))
+    n_k = cfg.rho_for(count.size) * count
     return float(cfg.alpha * (n_k * np.log(n_k) - n_k).sum())

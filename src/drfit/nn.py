@@ -7,7 +7,6 @@ and checked against finite differences in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,28 +120,23 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> ForwardCache:
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != params.n_in:
         raise ShapeError(f"batch {x.shape} does not match input width {params.n_in}")
-    # every pre-activation is a view of one buffer, so one test covers them
-    # all; a shared batch takes the stack's leading axes
-    lead = (x.shape[:-2] or params.weights[0].shape[:-2]) + x.shape[-2:-1]
-    buf = np.empty(math.prod(lead) * sum(w.shape[-1] for w in params.weights))
-    pre_acts, acts, a, k = [], [], x, 0
+    pre_acts, acts, a = [], [], x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = buf[k : k + math.prod(lead) * w.shape[-1]].reshape(*lead, w.shape[-1])
         step = max(1, _ONE_THREAD_MACS // (w.shape[-2] * w.shape[-1]))
-        if lead[-1] <= step:
-            np.matmul(a, w, out=z)
+        if a.shape[-2] <= step:
+            z = a @ w
         else:  # row blocks, of the same shapes alone and stacked
-            for r in range(0, lead[-1], step):
+            lead = np.broadcast_shapes(a.shape[:-2], w.shape[:-2])  # a shared batch broadcasts
+            z = np.empty((*lead, a.shape[-2], w.shape[-1]))
+            for r in range(0, a.shape[-2], step):
                 np.matmul(a[..., r : r + step, :], w, out=z[..., r : r + step, :])
         z += b[..., None, :]
-        k += z.size
+        if not np.isfinite(z).all():  # name the layer and its failed nets
+            raise NumericError(f"non-finite pre-activation at layer {i}",
+                               ~np.isfinite(z).all(axis=(-2, -1)))
         pre_acts.append(z)
         a = z if i == len(params.weights) - 1 else np.maximum(z, 0.0)
         acts.append(a)
-    if not np.isfinite(buf).all():  # name the first such layer and its failed nets
-        bad = [~np.isfinite(z).all(axis=(-2, -1)) for z in pre_acts]
-        i = next(i for i, b in enumerate(bad) if b.any())
-        raise NumericError(f"non-finite pre-activation at layer {i}", bad[i])
     return ForwardCache(inputs=x, pre_acts=pre_acts, acts=acts, scores=pre_acts[-1][..., 0])
 
 

@@ -142,78 +142,57 @@ def negate(dist):
 # ---------------------------------------------------------------------------
 # quadrature
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Node budget for numeric expectations: Gauss-Hermite for Gaussians,
-    Gauss-Legendre for bounded intervals, exact summation for discrete
-    atoms, and tensor products of the 1-D rules in two dimensions.
-    """
-
-    nodes: int = 64
-
-    def __post_init__(self):
-        if self.nodes < 32:
-            raise ValueError("continuous rules need at least 32 nodes")
-
-
-DEFAULT_RULE = QuadratureRule()
-
-
 # scipy's rules stay numerically stable at node counts where the
 # polynomial-module versions overflow
 @lru_cache(maxsize=32)
-def _hermite(n: int):
-    return special.roots_hermite(n)
-
-
-@lru_cache(maxsize=32)
-def _legendre(n: int):
-    return special.roots_legendre(n)
-
-
-def nodes_weights(dist, rule: QuadratureRule = DEFAULT_RULE):
-    """Quadrature nodes and weights such that E[f(X)] ~= sum w_i f(x_i).
+def nodes_weights(dist, nodes: int = 64):
+    """Quadrature nodes and weights such that E[f(X)] ~= sum w_i f(x_i):
+    Gauss-Hermite for Gaussians, Gauss-Legendre for bounded intervals (both
+    need at least 32 nodes), exact summation for discrete atoms, and tensor
+    products of the 1-D rules in two dimensions.
 
     One-dimensional distributions give a vector of nodes; two-dimensional
-    ones give an (m, 2) array. Discrete distributions are exact.
+    ones give an (m, 2) array. The 32 most recently used (dist, nodes)
+    rules are kept, so each is built once, and their arrays are read-only.
     """
+    if not isinstance(dist, Discrete) and nodes < 32:
+        raise ValueError("continuous rules need at least 32 nodes")
+    if isinstance(dist, (MvGaussian, MvUniformBox)) and dist.dim != 2:
+        raise ValueError("tensor-product quadrature is limited to two dimensions")
     if isinstance(dist, Discrete):
-        return np.asarray(dist.values, dtype=float), np.asarray(dist.probs, dtype=float)
-    if isinstance(dist, Uniform):
-        t, w = _legendre(rule.nodes)
+        x, w = np.asarray(dist.values, dtype=float), np.asarray(dist.probs, dtype=float)
+    elif isinstance(dist, Uniform):
+        t, w = special.roots_legendre(nodes)
         mid, half = 0.5 * (dist.lo + dist.hi), 0.5 * (dist.hi - dist.lo)
-        return mid + half * t, 0.5 * w
-    if isinstance(dist, Gaussian):
-        t, w = _hermite(rule.nodes)
-        return dist.mean + math.sqrt(2.0 * dist.var) * t, w / math.sqrt(math.pi)
-    if isinstance(dist, MvGaussian):
-        if dist.dim != 2:
-            raise ValueError("tensor-product quadrature is limited to two dimensions")
-        t, w = _hermite(rule.nodes)
+        x, w = mid + half * t, 0.5 * w
+    elif isinstance(dist, Gaussian):
+        t, w = special.roots_hermite(nodes)
+        x, w = dist.mean + math.sqrt(2.0 * dist.var) * t, w / math.sqrt(math.pi)
+    elif isinstance(dist, MvGaussian):
+        t, w = special.roots_hermite(nodes)
         ti, tj = np.meshgrid(t, t, indexing="ij")
         z = np.column_stack([ti.ravel(), tj.ravel()]) * math.sqrt(2.0)
         chol = np.linalg.cholesky(np.asarray(dist.cov))
-        pts = np.asarray(dist.mean) + z @ chol.T
-        wts = np.outer(w, w).ravel() / math.pi
-        return pts, wts
-    if isinstance(dist, MvUniformBox):
-        if dist.dim != 2:
-            raise ValueError("tensor-product quadrature is limited to two dimensions")
-        t, w = _legendre(rule.nodes)
+        x = np.asarray(dist.mean) + z @ chol.T
+        w = np.outer(w, w).ravel() / math.pi
+    elif isinstance(dist, MvUniformBox):
+        t, w = special.roots_legendre(nodes)
         (a0, b0), (a1, b1) = dist.intervals
         x0 = 0.5 * (a0 + b0) + 0.5 * (b0 - a0) * t
         x1 = 0.5 * (a1 + b1) + 0.5 * (b1 - a1) * t
         xi, xj = np.meshgrid(x0, x1, indexing="ij")
-        pts = np.column_stack([xi.ravel(), xj.ravel()])
-        wts = 0.25 * np.outer(w, w).ravel()
-        return pts, wts
-    raise TypeError(f"no quadrature for {type(dist).__name__}")
+        x = np.column_stack([xi.ravel(), xj.ravel()])
+        w = 0.25 * np.outer(w, w).ravel()
+    else:
+        raise TypeError(f"no quadrature for {type(dist).__name__}")
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
-def expect(dist, f, rule: QuadratureRule = DEFAULT_RULE) -> float | np.ndarray:
+def expect(dist, f, nodes: int = 64) -> float | np.ndarray:
     """E[f(X)] by quadrature (exact for discrete X). f must accept arrays; an
     integrand of shape (nodes, k) gives the k column expectations as an array."""
-    x, w = nodes_weights(dist, rule)
+    x, w = nodes_weights(dist, nodes)
     fx = np.asarray(f(x), dtype=float)
     if not np.all(np.isfinite(fx)):
         raise FloatingPointError("integrand evaluated non-finite at a quadrature node")
@@ -298,16 +277,12 @@ class PopulationProblem:
         q1, q0 = self.rates
         return self.dist0 is None and q1 == q0 and self.p_star_1 == 0.5
 
-    @property
-    def rule(self) -> QuadratureRule:
-        return QuadratureRule(nodes=self.nodes)
-
     def with_q(self, q) -> "PopulationProblem":
         return PopulationProblem(self.dist1, self.dist0, self.p_star_1, q, self.nodes)
 
 
-def _mixture_expect(components, f, rule) -> float:
-    return sum(w * expect(d, f, rule) for d, w in components)
+def _mixture_expect(components, f, nodes: int) -> float:
+    return sum(w * expect(d, f, nodes) for d, w in components)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +310,8 @@ def clean_estimator_1d(prob: PopulationProblem, estimate=None) -> float:
     """Population logistic estimate with uncontaminated labels: the noisy
     estimate of the same problem without flips. estimate(prob, b), when
     given, stands in for weighted_estimator_1d."""
-    rule = prob.rule
-    m1 = expect(prob.dist1, lambda x: x, rule)
-    m0 = expect(prob.clean0, lambda x: x, rule)
+    m1 = expect(prob.dist1, lambda x: x, prob.nodes)
+    m0 = expect(prob.clean0, lambda x: x, prob.nodes)
     if not m1 > 0:
         raise HypothesisViolation("clean class-1 covariate must have positive mean")
     if m0 > m1:
@@ -354,7 +328,6 @@ def noisy_estimator_1d(prob: PopulationProblem) -> float:
 def weighted_objective_1d(prob: PopulationProblem, b: float, s):
     """O_b(s) for all s at once, one (nodes x s) integrand per mixture component.
     At b = 0, the shifted expected log-likelihood: (1/b) O_b as b -> 0, up to constants."""
-    rule = prob.rule
     p1, p0 = prob.label_priors
     s = np.asarray(s, dtype=float)
 
@@ -362,7 +335,7 @@ def weighted_objective_1d(prob: PopulationProblem, b: float, s):
         def f(x):
             ls = log_sigma2(np.multiply.outer(x, t))
             return ls if b == 0.0 else np.exp(b * ls)
-        return _mixture_expect(prob.label_mixture(label), f, rule)
+        return _mixture_expect(prob.label_mixture(label), f, prob.nodes)
 
     e1, e0 = moment(1, s), moment(0, -s)
     if b != 0.0:
@@ -384,11 +357,10 @@ def _refine_max(prob: PopulationProblem, b: float, lo: float, hi: float):
 def _m_function(prob: PopulationProblem, b: float):
     """M(b, s) = E[X_1 g(s X_1, b)] for the fully symmetric case; its
     smallest positive root is the weighted estimator."""
-    rule = prob.rule
     mix1 = prob.label_mixture(1)
 
     def m(s: float) -> float:
-        return _mixture_expect(mix1, lambda x: x * weight_kernel(s * x, b), rule)
+        return _mixture_expect(mix1, lambda x: x * weight_kernel(s * x, b), prob.nodes)
 
     return m
 
@@ -504,7 +476,7 @@ def w_identity_residual(mu, cov, nodes: int = 64) -> float:
     cov = np.asarray(cov, dtype=float)
     m = float(mu @ np.linalg.solve(cov, mu))
     dist = Gaussian(m, m)
-    return expect(dist, lambda w: w * np.exp(log_sigma2(-w)), QuadratureRule(nodes=nodes))
+    return expect(dist, lambda w: w * np.exp(log_sigma2(-w)), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +526,8 @@ def _mv_neg_objective(prob: PopulationProblem, b: float):
     p1, p0 = prob.label_priors
     (_, m11), (_, m10) = prob.label_mixture(1)
     (_, m01), (_, m00) = prob.label_mixture(0)
-    pts1, wts1 = nodes_weights(d1, prob.rule)
-    pts0, wts0 = nodes_weights(prob.clean0, prob.rule)
+    pts1, wts1 = nodes_weights(d1, prob.nodes)
+    pts0, wts0 = nodes_weights(prob.clean0, prob.nodes)
     mirrored = np.array_equal(pts0, -pts1[::-1]) and np.array_equal(wts0, wts1[::-1])
 
     def fgh(s):

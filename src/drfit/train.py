@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BudgetError, ClassPartition, ConfigError, DrFitConfig, analytic_weights,
-                   class_members, member_weights, scale_members)
+from .core import (BudgetError, ConfigError, analytic_weights, class_members, member_weights,
+                   scale_members)
 from .data import LabeledDataset
 from .nn import (MlpParams, NumericError, label_signs, mlp_forward, per_example_loss,
                  weighted_backward)
@@ -91,12 +91,13 @@ def mean_loss(params: MlpParams, ds: LabeledDataset) -> float:
     return float(per_example_loss(cache, ds.labels).mean())
 
 
-def _stratified_batches(part: ClassPartition, batch_size: int, rng) -> list[np.ndarray]:
-    """Deal each class's shuffled members round-robin over the batches so
-    class proportions are as even as possible in every batch."""
-    n_batches = max(1, math.ceil(part.n / batch_size))
+def _stratified_batches(classes: list[np.ndarray], batch_size: int, rng) -> list[np.ndarray]:
+    """Deal each class's shuffled members (classes[k] holds class k's indices)
+    round-robin over the batches so class proportions are as even as possible
+    in every batch."""
+    n_batches = max(1, math.ceil(sum(ix.size for ix in classes) / batch_size))
     members, buckets = [], []
-    for idx in part.classes:
+    for idx in classes:
         perm = rng.permutation(idx)
         offset = int(rng.integers(n_batches)) if n_batches > 1 else 0
         members.append(perm)
@@ -136,13 +137,14 @@ def train(data, dr, tr, init, val=None, test=None):
     if data.n == 0:
         raise ValueError("training data is empty")
     nets = [init] if isinstance(init, MlpParams) else list(init)
-    part = ClassPartition.from_labels(data.labels)
-    rho, labels, features = dr.rho_for(part.n_classes), data.labels, data.features
+    labels, features = data.labels, data.features
     signs = label_signs(labels)  # the labels' one check, before any step
-    n_batches = max(1, math.ceil(part.n / tr.batch_size))
+    classes = [np.flatnonzero(labels == k) for k in range(labels.max() + 1)]
+    rho = dr.rho_for(len(classes))
+    n_batches = max(1, math.ceil(labels.size / tr.batch_size))
     # the widest batch dealing can make; padding every net's batches to it
     # keeps each net's arithmetic independent of the others in the stack
-    width = sum(-(-ix.size // n_batches) for ix in part.classes)
+    width = sum(-(-ix.size // n_batches) for ix in classes)
     rngs = [np.random.default_rng(tr.seed + r) for r in range(len(nets))]
     results = [None] * len(nets)
     names = [k for k, ds in zip(TRACE_COLUMNS, (data, data, val, test)) if ds is not None]
@@ -211,8 +213,8 @@ def train(data, dr, tr, init, val=None, test=None):
                           and epoch % tr.update_frequency == 0)
         fresh = None
         if epoch == 1 or n_batches > 1:  # one batch holds every example, in index order
-            idx, valid = _padded([_stratified_batches(part, tr.batch_size, rngs[r]) for r in live],
-                                 width)
+            idx, valid = _padded(
+                [_stratified_batches(classes, tr.batch_size, rngs[r]) for r in live], width)
             # a net without a batch at a step skips it, ridge term included
             plan = (idx, np.where(valid, idx, labels.size),
                     np.where(valid.any(axis=-1, keepdims=True), tr.theta_lr, 0.0), signs[idx],
@@ -228,7 +230,7 @@ def train(data, dr, tr, init, val=None, test=None):
 
     if tr.solver == "analytic":
         omega = attempt(lambda: analytic_weights(
-            per_example_loss(mlp_forward(params, features), signs), part, dr))
+            per_example_loss(mlp_forward(params, features), signs), labels, dr))
     for j, r in enumerate(live):
         results[r] = (params.unflatten(flat[j]).copy(), omega[j, : labels.size],
                       dict(zip(names, history[:, r])))

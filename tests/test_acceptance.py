@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from drfit.core import (
-    ClassPartition,
     DrFitConfig,
     analytic_weights,
     full_objective,
@@ -83,13 +82,13 @@ def test_criterion_01_closed_form_weights_are_optimal():
         losses = rng.uniform(0.0, 2.0, size=labels.size)
         rho = tuple(float(r) for r in rng.uniform(0.7, 1.3, size=k))
         alpha = float(rng.choice([0.5, 1.0, 2.0]))
-        part = ClassPartition.from_labels(labels)
         cfg = DrFitConfig(alpha=alpha, lam=0.3, rho=rho)
-        omega_hat = analytic_weights(losses, part, cfg)
+        omega_hat = analytic_weights(losses, labels, cfg)
         theta_sq = float(rng.uniform(0.0, 4.0))
 
         # the objective separates over classes, so sweep each class alone
-        for c, members in enumerate(part.classes):
+        for c in range(k):
+            members = np.flatnonzero(labels == c)
             grid = _class_grid(rho[c] * members.size, members.size)
             grid_points += grid.shape[0]
             l_c = losses[members]
@@ -107,7 +106,7 @@ def test_criterion_01_closed_form_weights_are_optimal():
             )
 
         lhs = full_objective(losses, omega_hat, theta_sq, cfg)
-        rhs = reduced_loss(losses, theta_sq, part, cfg) + objective_constant(part, cfg)
+        rhs = reduced_loss(losses, theta_sq, labels, cfg) + objective_constant(labels, cfg)
         gap = abs(lhs - rhs) / max(1.0, abs(lhs))
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-10
@@ -275,7 +274,6 @@ def test_criterion_08_gradients_match_finite_differences():
         assert err < 1e-5
 
         # collapsed-loss gradient against differences of the collapsed loss
-        part = ClassPartition.from_labels(labels, 2)
         cfg = DrFitConfig(alpha=0.8, lam=lam, rho=None)
         losses = per_example_loss(cache, labels)
         per_grad = np.stack(
@@ -284,11 +282,11 @@ def test_criterion_08_gradients_match_finite_differences():
                 for i in range(8)
             ]
         )
-        g2 = reduced_loss_grad(per_grad, losses, theta, part, cfg)
+        g2 = reduced_loss_grad(per_grad, losses, theta, labels, cfg)
 
         def collapsed(vec):
             c = mlp_forward(params.unflatten(vec), x)
-            return reduced_loss(per_example_loss(c, labels), float(vec @ vec), part, cfg)
+            return reduced_loss(per_example_loss(c, labels), float(vec @ vec), labels, cfg)
 
         fd2 = np.empty_like(theta)
         for i in range(theta.size):

@@ -131,7 +131,9 @@ def test_object_override_merges_into_its_section():
 def test_bad_value_type_exits_2_before_any_artifact(tmp_path):
     for k, bad in enumerate(
         ["train.epochs=abc", "train.batch_size=[4]", "train.solver=magic",
-         "drfit.alpha=abc", "drfit.lam=null"]
+         "drfit.alpha=abc", "drfit.lam=null",
+         # int(True) is 1 and float(True) 1.0, but a bool is no number
+         "train.epochs=true", "drfit.alpha=true"]
     ):
         out = tmp_path / f"out{k}"
         assert main(["train", "--output-dir", str(out), "--set", bad]) == 2, bad
@@ -145,7 +147,7 @@ def test_bad_value_type_exits_2_before_any_artifact(tmp_path):
          *(["train", "--set", bad, "--set", "train.epochs=1"]
            for bad in ["data.n=abc", "data.val_fraction=abc", 'data.mu=[1,"a"]',
                        'data.cov=[[1,0],[0,"a"]]', "data.subsample=abc",
-                       "noise.seed=abc", 'noise.rates=["x"]'])]
+                       "noise.seed=abc", 'noise.rates=["x"]', "data.hidden=[true]"])]
     ):
         out = tmp_path / f"late{k}"
         assert main([*argv, "--output-dir", str(out)]) == 2, argv
@@ -161,7 +163,7 @@ def test_out_of_range_value_exits_2_before_any_artifact(tmp_path):
         "data.val_fraction=0", "data.n=-5", "data.n=7", "data.cov=[[1,2],[2,1]]",
         "data.mu=[1,1,1]", "data.cov=[[1,0],[0]]", "data.hidden=[0]",
         'drfit.rho=["x"]', "drfit.rho=[-1,1]", "drfit.rho=[0.5]", "drfit.rho=5",
-        "drfit.rho=magic",
+        "drfit.rho=magic", "drfit.rho=[true,true]",
         # an int key takes only whole numbers, every number key only finite ones
         "train.epochs=2.5", "replications=1.5", "data.n=1e400", "noise.seed=0.5",
         "drfit.lam=NaN", "train.omega_lr=Infinity", "data.cov=[[NaN,0],[0,1]]",
@@ -530,6 +532,26 @@ def test_theory_reports_make_each_estimate_once(monkeypatch):
     assert made and scores
     assert max(made.values()) == 1, [k for k, n in made.items() if n > 1]
     assert all(len(points) == len(set(points)) for points in scores)
+
+
+def test_node_cache_cannot_change_a_report(tmp_path):
+    """The theory-1d and theory-mv reports are byte-identical whether the
+    quadrature nodes are built afresh, taken from the cache, or built again
+    after the cache is cleared."""
+
+    def reports(name):
+        out = []
+        for kind in ("theory-1d", "theory-mv"):
+            run_dir = tmp_path / f"{name}-{kind}"
+            assert main(["theory", "--kind", kind, "--output-dir", str(run_dir)]) == 0
+            out += [(run_dir / f).read_bytes() for f in ("report.json", "report.csv")]
+        return out
+
+    theory.nodes_weights.cache_clear()
+    cold = reports("cold")
+    warm = reports("warm")
+    theory.nodes_weights.cache_clear()
+    assert cold == warm == reports("cleared")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drfit.core import (
-    ClassPartition,
     ConfigError,
     DrFitConfig,
     analytic_weights,
@@ -28,11 +27,11 @@ def test_weights_hand_value_single_class():
     """losses (0, ln 3), alpha 1, budget 1: softmax of -loss scaled to the
     class size gives (1.5, 0.5)."""
     losses = np.array([0.0, math.log(3.0)])
-    part = ClassPartition.from_labels(np.array([0, 0]))
+    labels = np.array([0, 0])
     cfg = DrFitConfig(alpha=1.0, lam=0.0, rho=(1.0,))
-    w = analytic_weights(losses, part, cfg)
+    w = analytic_weights(losses, labels, cfg)
     assert np.allclose(w, [1.5, 0.5], atol=1e-12)
-    h = reduced_loss(losses, 0.0, part, cfg)
+    h = reduced_loss(losses, 0.0, labels, cfg)
     assert math.isclose(h, -2.0 * math.log(4.0 / 3.0), rel_tol=1e-12)
 
 
@@ -64,9 +63,8 @@ def _random_instance(rng):
     losses = rng.uniform(0.0, 2.0, size=labels.size)
     rho = tuple(float(r) for r in rng.uniform(0.7, 1.3, size=k))
     alpha = float(rng.choice([0.5, 1.0, 2.0]))
-    part = ClassPartition.from_labels(labels)
     cfg = DrFitConfig(alpha=alpha, lam=0.0, rho=rho)
-    return losses, part, cfg
+    return losses, labels, cfg
 
 
 def _class_grid(total, size, step=0.01):
@@ -89,12 +87,13 @@ def test_closed_form_beats_simplex_grid():
     form, which must win everywhere."""
     rng = np.random.default_rng(42)
     for _ in range(5):
-        losses, part, cfg = _random_instance(rng)
-        omega_hat = analytic_weights(losses, part, cfg)
+        losses, labels, cfg = _random_instance(rng)
+        omega_hat = analytic_weights(losses, labels, cfg)
         best = full_objective(losses, omega_hat, 0.0, cfg)
-        rho = cfg.rho_for(part.n_classes)
-        for k, members in enumerate(part.classes):
-            budget = rho[k] * members.size
+        rho = cfg.rho_for(labels.max() + 1)
+        for k, rho_k in enumerate(rho):
+            members = np.flatnonzero(labels == k)
+            budget = rho_k * members.size
             grid = _class_grid(budget, members.size)
             trial = np.tile(omega_hat, (grid.shape[0], 1))
             trial[:, members] = grid
@@ -107,12 +106,12 @@ def test_collapse_identity_random_instances():
     plus the constant alpha * sum(n_k log n_k - n_k)."""
     rng = np.random.default_rng(7)
     for _ in range(20):
-        losses, part, cfg = _random_instance(rng)
+        losses, labels, cfg = _random_instance(rng)
         theta_sq = float(rng.uniform(0.0, 4.0))
         cfg = DrFitConfig(alpha=cfg.alpha, lam=0.5, rho=cfg.rho)
-        omega_hat = analytic_weights(losses, part, cfg)
+        omega_hat = analytic_weights(losses, labels, cfg)
         lhs = full_objective(losses, omega_hat, theta_sq, cfg)
-        rhs = reduced_loss(losses, theta_sq, part, cfg) + objective_constant(part, cfg)
+        rhs = reduced_loss(losses, theta_sq, labels, cfg) + objective_constant(labels, cfg)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -120,27 +119,26 @@ def test_weights_shift_invariant_and_loss_shifts_linearly():
     """Adding a constant c to every loss in a class leaves the weights
     unchanged and moves the collapsed loss by rho_k * n_k * c."""
     rng = np.random.default_rng(3)
-    losses, part, cfg = _random_instance(rng)
+    losses, labels, cfg = _random_instance(rng)
     shifted = losses.copy()
-    members = part.classes[0]
+    members = labels == 0
     c = 0.37
     shifted[members] += c
-    w0 = analytic_weights(losses, part, cfg)
-    w1 = analytic_weights(shifted, part, cfg)
+    w0 = analytic_weights(losses, labels, cfg)
+    w1 = analytic_weights(shifted, labels, cfg)
     assert np.allclose(w0, w1, atol=1e-12)
-    rho = cfg.rho_for(part.n_classes)
-    h0 = reduced_loss(losses, 0.0, part, cfg)
-    h1 = reduced_loss(shifted, 0.0, part, cfg)
-    assert math.isclose(h1 - h0, rho[0] * members.size * c, rel_tol=1e-10)
+    rho = cfg.rho_for(labels.max() + 1)
+    h0 = reduced_loss(losses, 0.0, labels, cfg)
+    h1 = reduced_loss(shifted, 0.0, labels, cfg)
+    assert math.isclose(h1 - h0, rho[0] * members.sum() * c, rel_tol=1e-10)
 
 
 def test_weights_decrease_with_loss_within_class():
     losses = np.array([0.1, 0.9, 0.4, 1.3, 0.2, 0.8])
     labels = np.array([0, 0, 0, 1, 1, 1])
-    part = ClassPartition.from_labels(labels)
     cfg = DrFitConfig(alpha=0.7, lam=0.0, rho=(1.2, 0.9))
-    w = analytic_weights(losses, part, cfg)
-    for members in part.classes:
+    w = analytic_weights(losses, labels, cfg)
+    for members in (labels == 0, labels == 1):
         order = np.argsort(losses[members])
         assert np.all(np.diff(w[members][order]) < 0)
     # budgets: each class's weights sum to rho_k * n_k
@@ -157,32 +155,37 @@ def test_reduced_loss_grad_matches_finite_differences():
     c = rng.uniform(0.0, 1.0, size=n)
     theta = rng.normal(size=d)
     labels = np.array([0, 0, 0, 0, 1, 1, 1])
-    part = ClassPartition.from_labels(labels)
     cfg = DrFitConfig(alpha=0.8, lam=0.4, rho=(1.1, 0.9))
 
     losses = a @ theta + c
-    grad = reduced_loss_grad(a, losses, theta, part, cfg)
+    grad = reduced_loss_grad(a, losses, theta, labels, cfg)
     h = 1e-6
     fd = np.empty(d)
     for i in range(d):
         t_up, t_dn = theta.copy(), theta.copy()
         t_up[i] += h
         t_dn[i] -= h
-        up = reduced_loss(a @ t_up + c, t_up @ t_up, part, cfg)
-        dn = reduced_loss(a @ t_dn + c, t_dn @ t_dn, part, cfg)
+        up = reduced_loss(a @ t_up + c, t_up @ t_up, labels, cfg)
+        dn = reduced_loss(a @ t_dn + c, t_dn @ t_dn, labels, cfg)
         fd[i] = (up - dn) / (2 * h)
     assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-7
 
 
 def test_partition_restrict_and_empty_class():
-    part = ClassPartition([np.array([], dtype=np.int64), np.array([0, 1, 2])])
-    assert part.n_classes == 2
-    assert part.classes[0].size == 0
-    cfg = DrFitConfig(alpha=1.0, lam=0.0, rho=(1.0, 1.0))
-    with pytest.raises(ConfigError):
-        analytic_weights(np.ones(3), part, cfg)
-    with pytest.raises(ValueError):
-        analytic_weights(np.ones(4), ClassPartition.from_labels(np.array([0, 1, 1])), cfg)
+    """Labels name the classes 0 .. max label: a class between them with no
+    examples is a ConfigError naming it, and labels that do not cover the
+    losses one to one are a ValueError."""
+    cfg = DrFitConfig(alpha=1.0, lam=0.0, rho=(1.0, 1.0, 1.0))
+    losses, labels = np.ones(4), np.array([0, 0, 2, 2])
+    for call in (lambda: analytic_weights(losses, labels, cfg),
+                 lambda: reduced_loss(losses, 0.0, labels, cfg),
+                 lambda: objective_constant(labels, cfg)):
+        with pytest.raises(ConfigError, match="class 1 has no examples"):
+            call()
+    for call in (lambda: analytic_weights(losses, labels[:3], cfg),
+                 lambda: reduced_loss(losses, 0.0, labels[:3], cfg)):
+        with pytest.raises(ValueError, match="3 labels for 4 examples"):
+            call()
 
 
 def test_scale_to_budgets_hand_example():

@@ -25,7 +25,6 @@ from drfit.theory import (
     MvGaussian,
     MvUniformBox,
     PopulationProblem,
-    QuadratureRule,
     Uniform,
     clean_estimator_1d,
     discontinuity_scan,
@@ -84,22 +83,28 @@ def test_node_doubling_is_stable():
     d = Gaussian(1.0, 1.0)
     # polynomials are integrated exactly at any admissible node count
     poly = lambda x: x**3 + 2.0 * x
-    a64 = expect(d, poly, QuadratureRule(nodes=64))
-    a128 = expect(d, poly, QuadratureRule(nodes=128))
+    a64 = expect(d, poly, 64)
+    a128 = expect(d, poly, 128)
     assert a64 == pytest.approx(4.0 + 2.0, abs=1e-10)
     assert a128 == pytest.approx(a64, abs=1e-10)
     f = lambda x: np.tanh(2.0 * x)
-    a = expect(d, f, QuadratureRule(nodes=64))
-    b = expect(d, f, QuadratureRule(nodes=128))
+    a = expect(d, f, 64)
+    b = expect(d, f, 128)
     assert abs(a - b) < 1e-5
 
 
 def test_quadrature_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule(nodes=16)
-    x, w = nodes_weights(Gaussian(0.0, 1.0), QuadratureRule(nodes=64))
+    with pytest.raises(ValueError, match="continuous rules need at least 32 nodes"):
+        nodes_weights(Gaussian(0, 1), 16)
+    x, w = nodes_weights(Gaussian(0.0, 1.0), 64)
     assert x.shape == w.shape == (64,)
     assert abs(w.sum() - 1.0) < 1e-12
+    # the rule is built once and shared, so no caller may write to it
+    for d in (Gaussian(0.0, 1.0), Discrete((-1.0, 1.0), (0.5, 0.5)),
+              MvUniformBox([[0.0, 1.0], [0.0, 2.0]])):
+        for a in nodes_weights(d, 64):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
     with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
         expect(Gaussian(0.0, 1.0), lambda x: np.log(x))
 
@@ -146,9 +151,8 @@ def test_negation_mirrors_the_quadrature_nodes(dist, nodes):
     """-X's nodes are X's negated in reverse order and its weights X's
     reversed, to the bit: the 2-D objective evaluates -X's integrands on
     X's nodes."""
-    rule = QuadratureRule(nodes)
-    pts, wts = nodes_weights(dist, rule)
-    neg_pts, neg_wts = nodes_weights(negate(dist), rule)
+    pts, wts = nodes_weights(dist, nodes)
+    neg_pts, neg_wts = nodes_weights(negate(dist), nodes)
     assert np.array_equal(neg_pts, -pts[::-1])
     assert np.array_equal(neg_wts, wts[::-1])
 
@@ -520,9 +524,8 @@ def test_weighted_estimator_is_divergent_on_a_settled_plateau():
 def _hand_mv_neg_objective(prob, b):
     """-O_b(s) and its gradient with the label-flip weights written out
     from the rates and priors instead of taken from label_mixture."""
-    rule = prob.rule
-    pts1, wts1 = nodes_weights(prob.dist1, rule)
-    pts0, wts0 = nodes_weights(prob.clean0, rule)
+    pts1, wts1 = nodes_weights(prob.dist1, prob.nodes)
+    pts0, wts0 = nodes_weights(prob.clean0, prob.nodes)
     q1, q0 = prob.rates
     p1s, p0s = prob.p_star_1, 1.0 - prob.p_star_1
     p1, p0 = prob.label_priors

@@ -11,8 +11,8 @@ import drfit.train as train_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drfit.core import (ClassPartition, ConfigError, DrFitConfig, analytic_weights,
-                        closed_form_weights, reduced_loss, scale_to_budgets)
+from drfit.core import (ConfigError, DrFitConfig, analytic_weights, closed_form_weights,
+                        reduced_loss, scale_to_budgets)
 from drfit.data import LabeledDataset, NoiseSpec, inject_label_noise, synthetic_gaussian_2class
 from drfit.nn import init_params, mlp_forward, per_example_loss, weighted_backward
 from drfit.train import (
@@ -139,16 +139,14 @@ def test_zero_epochs_returns_initial_state():
     params, weights, trace = train(ds, dr, tr, init)
     assert np.array_equal(params.flatten(), init.flatten())
     assert trace["train_loss"].shape == (0,)
-    part = ClassPartition.from_labels(ds.labels)
     losses = per_example_loss(mlp_forward(init, ds.features), ds.labels)
-    assert np.allclose(weights, analytic_weights(losses, part, dr))
+    assert np.allclose(weights, analytic_weights(losses, ds.labels, dr))
 
 
 def test_full_batch_descent_is_monotone():
     """With the closed-form weights the step follows the collapsed loss's
     gradient, so a small full-batch step never increases it."""
     ds = _toy_data(n=20)
-    part = ClassPartition.from_labels(ds.labels)
     dr = DrFitConfig(alpha=0.7, lam=0.05, rho=(1.0, 1.0))
     params = init_params([2, 1], seed=10)
     lr = 1e-3
@@ -157,8 +155,8 @@ def test_full_batch_descent_is_monotone():
         cache = mlp_forward(params, ds.features)
         losses = per_example_loss(cache, ds.labels)
         theta = params.flatten()
-        values.append(reduced_loss(losses, float(theta @ theta), part, dr))
-        omega = analytic_weights(losses, part, dr)
+        values.append(reduced_loss(losses, float(theta @ theta), ds.labels, dr))
+        omega = analytic_weights(losses, ds.labels, dr)
         grad = weighted_backward(params, cache, ds.labels, omega, dr.lam)
         params = params.unflatten(theta - lr * grad)
     diffs = np.diff(values)
@@ -208,11 +206,17 @@ def test_runaway_weight_step_trips_renormalisation():
         train(ds, dr, tr, init)
 
 
+def _classes(labels, n_classes=None):
+    """The index list of each class 0 .. n_classes - 1 (max label by default)."""
+    return [np.flatnonzero(labels == k)
+            for k in range(labels.max() + 1 if n_classes is None else n_classes)]
+
+
 def test_stratified_batches_partition_the_data():
     labels = np.repeat([0, 1], [70, 33])
-    part = ClassPartition.from_labels(labels)
+    classes = _classes(labels)
     rng = np.random.default_rng(0)
-    batches = _stratified_batches(part, 16, rng)
+    batches = _stratified_batches(classes, 16, rng)
     seen = np.concatenate(batches)
     assert np.array_equal(np.sort(seen), np.arange(103))
     target = 103 / len(batches)
@@ -221,11 +225,11 @@ def test_stratified_batches_partition_the_data():
         assert abs(b.size - target) <= 2
 
 
-def _dealt_batches(part, batch_size, rng):
+def _dealt_batches(classes, batch_size, rng):
     """Reference: the per-example dealing loop, one bucket list per batch."""
-    n_batches = max(1, math.ceil(part.n / batch_size))
+    n_batches = max(1, math.ceil(sum(map(len, classes)) / batch_size))
     buckets = [[] for _ in range(n_batches)]
-    for members in part.classes:
+    for members in classes:
         perm = rng.permutation(members)
         offset = int(rng.integers(n_batches)) if n_batches > 1 else 0
         for j, g in enumerate(perm):
@@ -244,10 +248,11 @@ def _dealt_batches(part, batch_size, rng):
 def test_stratified_batches_match_the_dealing_loop(sizes, batch_size, seed):
     """Same batches, in the same order, from the same random draws."""
     labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(sizes)), sizes))
-    part = ClassPartition.from_labels(labels, n_classes=len(sizes))
+    # a class of size 0 is an empty index list: it still takes its draws
+    classes = _classes(labels, len(sizes))
     rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = _dealt_batches(part, batch_size, rng_ref)
-    got = _stratified_batches(part, batch_size, rng)
+    expected = _dealt_batches(classes, batch_size, rng_ref)
+    got = _stratified_batches(classes, batch_size, rng)
     assert len(got) == len(expected)
     for b, e in zip(got, expected):
         assert b.dtype == np.int64
@@ -332,9 +337,9 @@ def _stack_setup(n=66, seed=21):
     """Toy data whose batches of 16 come out 12 to 14 rows wide, and three
     nets for a stacked run."""
     ds = _toy_data(n=n, seed=seed)
-    part = ClassPartition.from_labels(ds.labels)
+    classes = _classes(ds.labels)
     sizes = {b.size for s in (30, 31, 32)
-             for b in _stratified_batches(part, 16, np.random.default_rng(s))}
+             for b in _stratified_batches(classes, 16, np.random.default_rng(s))}
     assert len(sizes) > 1  # the stack has to pad
     return ds, [init_params([2, 4, 1], seed=40 + r) for r in range(3)]
 
@@ -342,11 +347,11 @@ def _stack_setup(n=66, seed=21):
 def _batch_by_batch(ds, dr, tr, net):
     """Reference: one net, one unpadded batch at a time, through the
     one-net kernels; returns the parameters, weights and training losses."""
-    part = ClassPartition.from_labels(ds.labels)
+    classes = _classes(ds.labels)
     rho, rng, params = dr.rho_for(2), np.random.default_rng(tr.seed), net.copy()
     omega, losses = rho[ds.labels].astype(float), []
     for epoch in range(1, tr.epochs + 1):
-        for subset in _stratified_batches(part, tr.batch_size, rng):
+        for subset in _stratified_batches(classes, tr.batch_size, rng):
             x, y = ds.features[subset], ds.labels[subset]
             cache = mlp_forward(params, x)
             w = (closed_form_weights(per_example_loss(cache, y), y, rho, dr.alpha)
@@ -361,7 +366,7 @@ def _batch_by_batch(ds, dr, tr, net):
         losses.append(float(per_example_loss(mlp_forward(params, ds.features), ds.labels).mean()))
     if tr.solver == "analytic":
         omega = analytic_weights(per_example_loss(mlp_forward(params, ds.features), ds.labels),
-                                 part, dr)
+                                 ds.labels, dr)
     return params, omega, losses
 
 
@@ -421,8 +426,8 @@ def test_a_net_without_a_batch_skips_the_step():
     """With batch size 1 dealing can leave a bucket empty, so nets can differ
     in batch count; the short net then skips the step, ridge term included."""
     ds = _toy_data(n=8, seed=3)
-    part = ClassPartition.from_labels(ds.labels)
-    counts = [len(_stratified_batches(part, 1, np.random.default_rng(s))) for s in range(40)]
+    classes = _classes(ds.labels)
+    counts = [len(_stratified_batches(classes, 1, np.random.default_rng(s))) for s in range(40)]
     seed = next(s for s in range(39) if counts[s] != counts[s + 1])
     dr = DrFitConfig(alpha=0.5, lam=0.5, rho=(1.0, 1.0))
     tr = TrainConfig(epochs=2, batch_size=1, theta_lr=0.01, seed=seed, solver="plain")
@@ -441,9 +446,9 @@ def test_nets_failing_at_later_epochs_leave_the_others_bit_for_bit():
     d = 20
     ds = synthetic_gaussian_2class(410, np.full(d, 0.3), np.eye(d), seed=5)
     ds = inject_label_noise(ds, NoiseSpec(rates=(0.2, 0.2), seed=5))
-    part = ClassPartition.from_labels(ds.labels)
+    classes = _classes(ds.labels)
     sizes = {b.size for s in range(30, 34)
-             for b in _stratified_batches(part, 64, np.random.default_rng(s))}
+             for b in _stratified_batches(classes, 64, np.random.default_rng(s))}
     assert len(sizes) > 1  # the stack has to pad
     dr = DrFitConfig(alpha=0.5, lam=0.01, rho=(1.2, 0.8))
     tr = TrainConfig(epochs=5, batch_size=64, theta_lr=0.05, omega_lr=0.05, burn_in=2,
