@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import theory
 from .core import ConfigError, DrFitConfig
 from .data import (
     DataError,
@@ -208,8 +207,6 @@ def validate_config(cfg: dict) -> dict:
     t = cfg["theory"]
     try:
         TrainConfig(**cfg["train"])
-        prob = theory.PopulationProblem(theory.Gaussian(t["mean"], t["var"]), q=t["q"])
-        theory.nodes_weights(prob.dist1, t["nodes"])
         DrFitConfig(cfg["drfit"]["alpha"], cfg["drfit"]["lam"], rho if isinstance(rho, list) else None)
         [DrFitConfig(a, lam) for a in sweep["alpha_grid"] for lam in sweep["lam_grid"]]
         _noise_spec(cfg)
@@ -227,6 +224,9 @@ def validate_config(cfg: dict) -> dict:
         (cov.shape == (mu.size, mu.size), "data.cov must be square, one row per entry of data.mu"),
         (all(h >= 1 for h in d["hidden"]), "data.hidden widths must be at least 1"),
         (d["subsample"] >= 1, "data.subsample must be at least 1"),
+        (t["nodes"] >= 32, "theory.nodes must be at least 32"),
+        (0 <= t["q"] < 0.5, "theory.q must lie in [0, 0.5)"),
+        (t["var"] > 0, "theory.var must be positive"),
         (t["alpha_step"] > 0, "theory.alpha_step must be positive"),
         (t["alpha_lo"] > 0, "theory.alpha_lo must be positive"),
         (t["alpha_lo"] <= t["alpha_hi"], "theory.alpha_lo must not exceed theory.alpha_hi"),
@@ -510,6 +510,8 @@ def _entry(key, value, target=None, tol=None, passed=None):
 
 
 def _report_theory_1d(cfg: dict) -> list[dict]:
+    from . import theory
+
     t = cfg["theory"]
     prob = theory.PopulationProblem(
         theory.Gaussian(t["mean"], t["var"]), q=t["q"], nodes=t["nodes"]
@@ -546,6 +548,8 @@ def _report_theory_1d(cfg: dict) -> list[dict]:
 
 
 def _report_theory_mv(cfg: dict) -> list[dict]:
+    from . import theory
+
     t = cfg["theory"]
     q, nodes = t["q"], t["nodes"]
     mu, cov = np.asarray(t["mu"]), np.asarray(t["cov"])
@@ -605,12 +609,16 @@ def _report_theory_mv(cfg: dict) -> list[dict]:
 
 def counterexample_problem(q: float = 0.2, nodes: int = 64) -> theory.PopulationProblem:
     """Two-atom class 0 against a three-atom class 1 with a heavy far atom."""
+    from . import theory
+
     dist1 = theory.Discrete((-1.0, 1.0, 10.0), (0.1, 0.1, 0.8))
     dist0 = theory.Discrete((-1.0, 1.0), (0.5, 0.5))
     return theory.PopulationProblem(dist1, dist0=dist0, q=q, nodes=nodes)
 
 
 def _report_theory_counterexample(cfg: dict) -> list[dict]:
+    from . import theory
+
     t = cfg["theory"]
     lo, hi, step = t["alpha_lo"], t["alpha_hi"], t["alpha_step"]
     alphas = np.arange(lo, hi + step / 2, step)

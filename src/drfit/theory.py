@@ -124,8 +124,10 @@ class MvUniformBox:
         return len(self.intervals)
 
 
+@lru_cache(maxsize=32)
 def negate(dist):
-    """Distribution of -X."""
+    """Distribution of -X; the 32 most recently negated are kept, so a
+    problem's implicit class 0 is built once."""
     if isinstance(dist, Discrete):
         return Discrete(tuple(-v for v in dist.values), dist.probs)
     if isinstance(dist, Uniform):
@@ -507,6 +509,15 @@ def _mv_terms(pts, wts, s, b: float):
     return f1, f0, c1, c0, c1 * (b * sn - sp), c0 * (b * sp - sn)
 
 
+@lru_cache(maxsize=32)
+def _mirrored(dist1, dist0, nodes: int) -> bool:
+    """Whether dist0's rule is dist1's negated in reverse order, to the bit,
+    weights reversed; checked once per pair of cached rules."""
+    pts1, wts1 = nodes_weights(dist1, nodes)
+    pts0, wts0 = nodes_weights(dist0, nodes)
+    return bool(np.array_equal(pts0, -pts1[::-1]) and np.array_equal(wts0, wts1[::-1]))
+
+
 def _mv_neg_objective(prob: PopulationProblem, b: float):
     """Returns f(s) = -O_b(s) with its gradient and its 2x2 Hessian, from
     one quadrature pass. The clean class-1 component enters the label-1
@@ -528,7 +539,7 @@ def _mv_neg_objective(prob: PopulationProblem, b: float):
     (_, m01), (_, m00) = prob.label_mixture(0)
     pts1, wts1 = nodes_weights(d1, prob.nodes)
     pts0, wts0 = nodes_weights(prob.clean0, prob.nodes)
-    mirrored = np.array_equal(pts0, -pts1[::-1]) and np.array_equal(wts0, wts1[::-1])
+    mirrored = _mirrored(d1, prob.clean0, prob.nodes)
 
     def fgh(s):
         f1, f0, c1, c0, k1, k0 = _mv_terms(pts1, wts1, s, b)

@@ -156,8 +156,8 @@ def train(data, dr, tr, init, val=None, test=None):
     # column n of omega stays 0: padded batch entries read and write it
     omega = np.tile(np.append(rho[labels], 0.0), (len(nets), 1))
     plan, epoch = (np.zeros((0, len(nets))),) * 6, 0
-    # (cache, losses) of the weight step's forward pass when one batch holds
-    # every example, in index order: the epoch end's pass at the same parameters
+    # (cache, losses) of a one-batch run's last pass over its batch (index order), kept
+    # until the parameters move: the next step, epoch end or final weights reuse it
     fresh = None
 
     def attempt(step):
@@ -177,9 +177,11 @@ def train(data, dr, tr, init, val=None, test=None):
                 rows, grad, fresh = np.arange(live.size)[:, None], np.empty_like(flat), None
 
     def theta_step(k):
+        nonlocal fresh
         ix, spot, lr, y, member, count = (a[k] for a in plan)
-        cache = mlp_forward(params, features[ix])
-        omega_s = (member_weights(per_example_loss(cache, y), member, count, rho, dr.alpha)
+        (cache, losses), fresh = fresh or (mlp_forward(params, features[ix]), None), None
+        omega_s = (member_weights(per_example_loss(cache, y) if losses is None else losses,
+                                  member, count, rho, dr.alpha)
                    if tr.solver == "analytic" else omega[rows, spot])
         g = weighted_backward(params, cache, y, omega_s, dr.lam, out=grad)
         np.subtract(flat, np.multiply(g, lr, out=g), out=flat)
@@ -197,11 +199,12 @@ def train(data, dr, tr, init, val=None, test=None):
         omega[rows, spot] = scale_members(w, member, count, rho)
 
     def epoch_end():
+        nonlocal fresh
+        one = n_batches == 1  # then pass over the batch the step gathers, and keep the pass
         if fresh is None:
-            cache = mlp_forward(params, features)
-            losses = per_example_loss(cache, signs)
-        else:
-            cache, losses = fresh
+            cache = mlp_forward(params, features[plan[0][0]] if one else features)
+            fresh = cache, per_example_loss(cache, plan[3][0] if one else signs)
+        (cache, losses), fresh = fresh, fresh if one else None
         loss = losses.mean(axis=-1)
         if not np.isfinite(loss).all():
             raise NumericError("non-finite training loss", ~np.isfinite(loss))
@@ -211,7 +214,6 @@ def train(data, dr, tr, init, val=None, test=None):
     for epoch in range(1, tr.epochs + 1):
         update_weights = (tr.solver == "numeric" and epoch > tr.burn_in
                           and epoch % tr.update_frequency == 0)
-        fresh = None
         if epoch == 1 or n_batches > 1:  # one batch holds every example, in index order
             idx, valid = _padded(
                 [_stratified_batches(classes, tr.batch_size, rngs[r]) for r in live], width)
@@ -230,7 +232,8 @@ def train(data, dr, tr, init, val=None, test=None):
 
     if tr.solver == "analytic":
         omega = attempt(lambda: analytic_weights(
-            per_example_loss(mlp_forward(params, features), signs), labels, dr))
+            fresh[1] if fresh else per_example_loss(mlp_forward(params, features), signs),
+            labels, dr))
     for j, r in enumerate(live):
         results[r] = (params.unflatten(flat[j]).copy(), omega[j, : labels.size],
                       dict(zip(names, history[:, r])))

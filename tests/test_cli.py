@@ -190,6 +190,12 @@ def test_out_of_range_value_exits_2_before_any_artifact(tmp_path):
         argv = ["theory", "--kind", "theory-counterexample", "--output-dir", str(out), "--set", bad]
         assert main(argv) == 2, bad
         assert not out.exists(), bad
+    # every subcommand checks the theory section, without importing drfit.theory
+    for k, bad in enumerate(["theory.nodes=0", "theory.q=0.7", "theory.var=0"]):
+        out = tmp_path / f"train-theory{k}"
+        argv = ["train", "--output-dir", str(out), "--set", "train.epochs=1", "--set", bad]
+        assert main(argv) == 2, bad
+        assert not out.exists(), bad
 
 
 def test_output_dir_must_be_a_string(tmp_path, monkeypatch):

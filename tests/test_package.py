@@ -14,6 +14,7 @@ import json, sys, types
 import drfit, drfit.cli
 print(json.dumps({
     "scipy_stats": "scipy.stats" in sys.modules,
+    "theory_stack": sorted({"drfit.theory", "scipy.optimize"} & set(sys.modules)),
     "names": {n: isinstance(v, types.ModuleType) for n, v in vars(drfit).items()
               if not (n.startswith("__") and n.endswith("__")) or n == "__version__"},
 }))
@@ -29,6 +30,8 @@ def test_cli_import_loads_no_scipy_stats_and_package_exports_nothing():
     )
     probe = json.loads(out.stdout)
     assert probe["scipy_stats"] is False
+    # the theory reports import drfit.theory, and with it scipy.optimize, when they run
+    assert probe["theory_stack"] == []
     names = probe["names"]
     assert names.pop("__version__") is False
     submodules = {"cli", "core", "data", "metrics", "nn", "theory", "train"}

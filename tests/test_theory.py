@@ -134,6 +134,10 @@ def test_negate_flips_the_distribution():
     assert abs(expect(nd, lambda x: x) + 1.5) < 1e-12
     dd = negate(Discrete((-1.0, 2.0), (0.25, 0.75)))
     assert abs(expect(dd, lambda x: x) + 1.25) < 1e-12
+    # a problem's implicit class 0 is built once, not on every access
+    prob = PopulationProblem(MvGaussian((1.0, 1.0), ((1.0, 0.3), (0.3, 1.0))), q=0.2)
+    assert prob.clean0 is prob.clean0
+    assert prob.clean0 == MvGaussian((-1.0, -1.0), ((1.0, 0.3), (0.3, 1.0)))
 
 
 @pytest.mark.parametrize("nodes", [32, 64, 96])

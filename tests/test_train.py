@@ -285,9 +285,10 @@ def test_accuracy_breaks_ties_like_argmax_over_two_scores():
 
 def test_one_batch_numeric_epoch_reuses_the_weight_step_pass(monkeypatch):
     """With one batch per epoch the epoch end takes the training loss and
-    accuracy from the weight step's forward pass at the same parameters:
-    one pass fewer per weight step, with the values a fresh pass gives, also
-    in the epochs between weight steps."""
+    accuracy from the weight step's forward pass at the same parameters, and
+    the next step takes the epoch end's or the weight step's pass: one pass
+    per parameter state, with the values a fresh pass gives, also in the
+    epochs between weight steps."""
     ds = _toy_data(n=40)
     dr = DrFitConfig(alpha=0.5, lam=0.0, rho=(1.25, 5.0 / 6.0))
     init = init_params([2, 4, 1], seed=5)
@@ -300,8 +301,34 @@ def test_one_batch_numeric_epoch_reuses_the_weight_step_pass(monkeypatch):
                          burn_in=1, update_frequency=2, seed=3, solver="numeric")
         calls.clear()
         params, _, trace = train(ds, dr, tr, init)
-        # each epoch: a step, then a weight step or an epoch-end pass
-        assert len(calls) == 2 * epochs
+        # the first step's pass, then one weight-step or epoch-end pass per epoch
+        assert len(calls) == epochs + 1
+        assert trace["train_loss"][-1] == mean_loss(params, ds)
+        assert trace["train_acc"][-1] == evaluate(params, ds)
+
+
+@pytest.mark.parametrize("hidden", [[], [4]], ids=["linear", "hidden"])
+@pytest.mark.parametrize("solver", ["analytic", "numeric", "plain"])
+def test_one_batch_run_makes_one_training_pass_per_parameter_state(monkeypatch, solver, hidden):
+    """With batch = n every step, epoch end and final analytic weights reuse
+    the last pass at the same parameters: epochs + 1 passes over the
+    training set for a 2-net stack, and each net is its run alone, bit for bit."""
+    ds = _toy_data(n=40)
+    dr = DrFitConfig(alpha=0.5, lam=0.01, rho=(1.25, 5.0 / 6.0))
+    nets = [init_params([2, *hidden, 1], seed=60 + r) for r in range(2)]
+    tr = TrainConfig(epochs=6, batch_size=40, theta_lr=0.05, omega_lr=0.1, burn_in=1,
+                     update_frequency=2, seed=7, solver=solver)
+    rows = []
+    forward = train_module.mlp_forward
+    monkeypatch.setattr(train_module, "mlp_forward",
+                        lambda params, batch: rows.append(batch.shape[-2]) or forward(params, batch))
+    stacked = train(ds, dr, tr, nets)
+    assert rows == [ds.n] * (tr.epochs + 1)
+    for r, net in enumerate(nets):
+        params, omega, trace = train(ds, dr, dataclasses.replace(tr, seed=7 + r), net)
+        assert np.array_equal(stacked[r][0].flatten(), params.flatten())
+        assert np.array_equal(stacked[r][1], omega)
+        _assert_same_trace(stacked[r][2], trace)
         assert trace["train_loss"][-1] == mean_loss(params, ds)
         assert trace["train_acc"][-1] == evaluate(params, ds)
 
