@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit
 
 # OpenBLAS runs a product of at most 2**18 multiply-adds on one thread; larger
 # ones wake worker threads that then spin through the steps' small products
@@ -164,9 +163,8 @@ def _signs(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def per_example_loss(cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
     """Cross-entropy loss per example: -log p(label) = log(1 + e^{-2sz})."""
-    # -log sigma(2sz) is that softplus; log_expit, unlike logaddexp, raises
-    # no underflow where the loss is 0 or -2sz to the last bit
-    return -log_expit(_signs(cache.scores, labels) * -cache.scores)
+    with np.errstate(under="ignore"):  # e^{-2sz} underflows where the loss is 0 or -2sz
+        return np.logaddexp(0.0, _signs(cache.scores, labels) * cache.scores)
 
 
 def weighted_backward(params: MlpParams, cache: ForwardCache, labels: np.ndarray,
@@ -180,9 +178,10 @@ def weighted_backward(params: MlpParams, cache: ForwardCache, labels: np.ndarray
         raise ShapeError(f"omega {omega.shape} vs scores {cache.scores.shape}")
     if omega.min(initial=0.0) < 0:
         raise ValueError("observation weights must be nonnegative")
-    # d/dz softplus(-2s z) = -2s sigma(-2s z)
+    # d/dz softplus(-2s z) = -2s sigma(-2s z); sigma(v) = 1/(1 + e^{-v}) saturates at 0 and 1
     signs = _signs(cache.scores, labels)
-    d_z = (signs * omega * expit(signs * cache.scores))[..., None]
+    with np.errstate(over="ignore", under="ignore"):
+        d_z = (signs * omega * (1.0 / (1.0 + np.exp(signs * -cache.scores))))[..., None]
     grad = np.empty(cache.scores.shape[:-1] + (params.n_params,)) if out is None else out
     grads_w, grads_b = params._views(grad)
     for i in range(len(params.weights) - 1, -1, -1):

@@ -50,6 +50,8 @@ DIVERGENT = math.inf
 
 _BRACKET_LO = 1e-6
 _BRACKET_CAP = 1e4
+# grid points per weighted_objective_1d call in discontinuity_scan
+_SCAN_BLOCK = 3072
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +783,15 @@ def discontinuity_scan(
     if any(a <= 0 for a in alphas):
         raise ValueError("alpha grid must be positive")
     grid = np.linspace(_BRACKET_LO, s_max, grid_points)
+    # Whole, the grid's (3, 6001) temporaries pass glibc's 128 KiB mmap threshold and
+    # fault in again on every call; a block's (3, 3072) ones stay below it. Blocks start
+    # at multiples of the SIMD and BLAS block widths, so every value keeps its bits
+    # (halves of 3001 and 3000 points move the 3001st value by an ulp at some alphas).
+    blocks = [grid[i : i + _SCAN_BLOCK] for i in range(0, grid.size, _SCAN_BLOCK)]
     entries = []
     for a in alphas:
         b = 1.0 / a
-        vals = weighted_objective_1d(prob, b, grid)
+        vals = np.concatenate([weighted_objective_1d(prob, b, g) for g in blocks])
         peaks, inner = [], vals[1:-1]
         rises = (inner > vals[:-2] + 1e-13) & (inner > vals[2:] + 1e-13)
         for i in np.flatnonzero(rises) + 1:

@@ -140,6 +140,8 @@ def train(data, dr, tr, init, val=None, test=None):
     labels, features = data.labels, data.features
     signs = label_signs(labels)  # the labels' one check, before any step
     classes = [np.flatnonzero(labels == k) for k in range(labels.max() + 1)]
+    if tr.solver == "analytic" and not classes[0].size:  # analytic_weights' check, before any step
+        raise ConfigError("class 0 has no examples")
     rho = dr.rho_for(len(classes))
     n_batches = max(1, math.ceil(labels.size / tr.batch_size))
     # the widest batch dealing can make; padding every net's batches to it

@@ -1,5 +1,5 @@
-"""The import surface: what `import drfit.cli` loads and what the package
-namespace holds."""
+"""The import surface: what `import drfit.cli` loads (no scipy module) and
+what the package namespace holds."""
 
 import json
 import os
@@ -13,7 +13,7 @@ _PROBE = """
 import json, sys, types
 import drfit, drfit.cli
 print(json.dumps({
-    "scipy_stats": "scipy.stats" in sys.modules,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "theory_stack": sorted({"drfit.theory", "scipy.optimize"} & set(sys.modules)),
     "names": {n: isinstance(v, types.ModuleType) for n, v in vars(drfit).items()
               if not (n.startswith("__") and n.endswith("__")) or n == "__version__"},
@@ -29,7 +29,8 @@ def test_cli_import_loads_no_scipy_stats_and_package_exports_nothing():
         [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True
     )
     probe = json.loads(out.stdout)
-    assert probe["scipy_stats"] is False
+    # training runs on numpy alone: no scipy module at all, scipy.stats included
+    assert probe["scipy"] == []
     # the theory reports import drfit.theory, and with it scipy.optimize, when they run
     assert probe["theory_stack"] == []
     names = probe["names"]

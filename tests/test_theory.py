@@ -723,6 +723,29 @@ def test_scan_is_quiet_on_a_smooth_family():
     assert all(np.diff(argmaxes) < 0)  # larger alpha, weaker weighting
 
 
+@pytest.mark.parametrize("q, alphas", [(0.2, [1.54, 1.69]), (0.1, [1.6, 2.0])])
+def test_scan_blocks_keep_every_bit_of_the_whole_grid(monkeypatch, q, alphas):
+    """The scan evaluates its s grid in blocks; joined, their values equal
+    the whole grid's to the bit. (Halves of 3001 and 3000 points move the
+    3001st value by an ulp at q = 0.1 and these alphas.)"""
+    prob = counterexample_problem(q=q)
+    blocks = {}
+
+    def spy(p, b, s):
+        out = weighted_objective_1d(p, b, s)
+        if np.ndim(s):
+            blocks.setdefault(b, []).append(out)
+        return out
+
+    monkeypatch.setattr(theory, "weighted_objective_1d", spy)
+    discontinuity_scan(prob, alphas)
+    grid = np.linspace(1e-6, 30.0, 6001)
+    assert len(blocks) == 2
+    for b, parts in blocks.items():
+        assert len(parts) > 1
+        assert np.array_equal(np.concatenate(parts), weighted_objective_1d(prob, b, grid))
+
+
 @pytest.mark.parametrize(
     "prob, alphas",
     [

@@ -521,6 +521,24 @@ def test_a_hidden_layer_overflow_fails_at_its_epoch_and_leaves_the_others_alone(
         _assert_same_trace(t1, t0)
 
 
+def test_analytic_solver_without_a_class_0_example_fails_before_the_first_step(monkeypatch):
+    """The final closed-form weights need an example of every class, so the
+    analytic solver raises their ConfigError before the first forward pass;
+    plain and numeric, which never form them, still train."""
+    ds = _toy_data()
+    one_class = LabeledDataset(ds.features, np.ones(ds.n, dtype=int))
+    for solver in ("plain", "numeric"):
+        tr = TrainConfig(epochs=2, batch_size=16, theta_lr=0.05, burn_in=0, solver=solver)
+        _, omega, _ = train(one_class, DrFitConfig(alpha=0.5), tr, init_params([2, 4, 1], seed=1))
+        assert omega.shape == (ds.n,)
+    passes = []
+    monkeypatch.setattr(train_module, "mlp_forward", lambda *args: passes.append(args))
+    tr = TrainConfig(epochs=2, batch_size=16, theta_lr=0.05)
+    with pytest.raises(ConfigError, match="class 0 has no examples"):
+        train(one_class, DrFitConfig(alpha=0.5), tr, init_params([2, 4, 1], seed=1))
+    assert passes == []
+
+
 def test_a_label_outside_the_classes_fails_before_the_first_step(monkeypatch):
     """The labels are checked once per run, before any step: a label 2
     raises ValueError before the first forward pass."""
