@@ -10,6 +10,7 @@ simulation rates or be estimated from a clean validation table.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,23 +125,26 @@ def _parse_idx(path, magic: int, n_dims: int) -> np.ndarray:
         int.from_bytes(_read_exact(buf, 4 + 4 * i, 4, f"dimension {i}"), "big")
         for i in range(n_dims)
     ]
-    payload = buf[4 + 4 * n_dims:]
-    size = int(np.prod(dims))
-    if len(payload) != size:
-        raise IdxTruncatedError(f"payload: expected {size} bytes, found {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    offset = 4 + 4 * n_dims
+    # math.prod: a product of 32-bit dimensions can wrap in int64
+    size = math.prod(dims)
+    if len(buf) - offset != size:
+        raise IdxTruncatedError(f"payload: expected {size} bytes, found {len(buf) - offset}")
+    # a read-only view of the payload in the file's own buffer, not a copy
+    return np.frombuffer(buf, dtype=np.uint8, offset=offset).reshape(dims)
 
 
 def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse an IDX image/label file pair. Returns (images, labels) with
-    pixel values scaled to [0, 1] as (n, rows, cols) floats."""
+    """Parse an IDX image/label file pair. Returns (images, labels): the
+    pixels as stored, (n, rows, cols) uint8, and the labels as ints.
+    prepare_ones_vs_sevens scales the pixels it keeps."""
     images = _parse_idx(images_path, _IMAGE_MAGIC, 3)
     labels = _parse_idx(labels_path, _LABEL_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
         raise IdxCountMismatchError(
             f"{images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    return images.astype(float) / 255.0, labels.astype(int)
+    return images, labels.astype(int)
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -169,14 +173,26 @@ def pool2x2(images: np.ndarray) -> np.ndarray:
     return images.reshape(n, rows // 2, 2, cols // 2, 2).mean(axis=(2, 4))
 
 
+# kept images scaled and pooled per block, so that no float copy of all the
+# kept images is ever held
+_POOL_ROWS = 256
+
+
 def prepare_ones_vs_sevens(images: np.ndarray, labels: np.ndarray) -> LabeledDataset:
-    """Filter digits 1 and 7, pool 28x28 down to 14x14, and relabel
-    (1 -> class 0, 7 -> class 1)."""
+    """Filter digits 1 and 7, scale their (n, 28, 28) pixels from [0, 255]
+    to [0, 1], pool them down to 14x14, and relabel (1 -> class 0,
+    7 -> class 1). Each feature has the bits of
+    pool2x2(images.astype(float) / 255.0) on the kept rows."""
     keep = (labels == 1) | (labels == 7)
     if not np.any(labels == 1) or not np.any(labels == 7):
         raise DataError("dataset must contain both digits 1 and 7")
-    pooled = pool2x2(np.asarray(images, dtype=float)[keep])
-    feats = pooled.reshape(pooled.shape[0], -1)
+    images = np.asarray(images)
+    rows = np.flatnonzero(keep)
+    _, h, w = images.shape
+    feats = np.empty((rows.size, (h // 2) * (w // 2)))
+    for lo in range(0, rows.size, _POOL_ROWS):
+        block = images[rows[lo:lo + _POOL_ROWS]] / 255.0
+        feats[lo:lo + block.shape[0]] = pool2x2(block).reshape(block.shape[0], -1)
     y = (labels[keep] == 7).astype(int)
     return LabeledDataset(feats, y)
 
@@ -210,7 +226,8 @@ def inject_label_noise(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
             others = np.array([t for t in range(n_classes) if t != c])
             labels[chosen] = rng.choice(others, size=k, replace=True)
         mask[chosen] = True
-    return LabeledDataset(ds.features.copy(), labels, true_labels, mask)
+    # only labels change, so the noisy set shares the clean one's features
+    return LabeledDataset(ds.features, labels, true_labels, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ than only in a traced benchmark run.
 """
 
 import ast
+import collections
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -129,4 +131,52 @@ def test_training_spans_fire(tmp_path, solver):
     spans = [s for s in _fires()[workload] if s != tracing.ENTRY]
     assert "train.eval" in spans and "nn.backward" in spans
     silent = [s for s in spans if calls[s] == 0]
+    assert not silent, f"spans never fired: {silent}"
+
+
+def test_mnist_ingestion_spans_fire(tmp_path, monkeypatch):
+    """data.build times MNIST ingestion only while drfit.cli calls
+    load_mnist_idx and prepare_ones_vs_sevens by those names: a tiny
+    kind=mnist-1v7 run on an IDX corpus calls each hooked name once for
+    the training files and once for the test files, and fires every span
+    the traced mnist-train workload requires."""
+    tracing = _load_tracing()
+    cli = importlib.import_module("drfit.cli")
+    data = importlib.import_module("drfit.data")
+    rng = np.random.default_rng(0)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for stem, n in (("train", 120), ("t10k", 40)):
+        images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+        data.write_idx_images(corpus / f"{stem}-images-idx3-ubyte", images)
+        labels = rng.permutation(np.resize(np.array([1, 7, 3], dtype=np.uint8), n))
+        data.write_idx_labels(corpus / f"{stem}-labels-idx1-ubyte", labels)
+
+    called = collections.Counter()
+
+    def counting(name):
+        fn = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            called[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("load_mnist_idx", "prepare_ones_vs_sevens"):
+        monkeypatch.setattr(cli, name, counting(name))
+    cfg = cli.load_config(None, [
+        "kind=mnist-1v7", f"data.root={corpus}", "data.subsample=60", "data.hidden=[4]",
+        "replications=1", "train.epochs=2", "train.batch_size=16", "train.burn_in=1",
+        f"output_dir={tmp_path / 'run'}",
+    ])
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        cli.run_training_experiment(cfg, quiet=True)
+    finally:
+        tracer.uninstall()
+    assert called == {"load_mnist_idx": 2, "prepare_ones_vs_sevens": 2}
+    calls = tracer.reduce()["calls"]
+    silent = [s for s in _fires()["mnist-train"] if s != tracing.ENTRY and calls[s] == 0]
     assert not silent, f"spans never fired: {silent}"

@@ -1,11 +1,13 @@
 """Ingestion, label-noise injection, weight budgets, and dataset plumbing."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from drfit.data import (
+    _POOL_ROWS,
     DataError,
     IdxCountMismatchError,
     IdxMagicError,
@@ -45,8 +47,9 @@ def test_idx_roundtrip(tmp_path):
     labels = np.array([1, 7, 1, 7, 3], dtype=np.uint8)
     ip, lp = _write_pair(tmp_path, images, labels)
     x, y = load_mnist_idx(ip, lp)
-    assert x.shape == (5, 4, 4)
-    assert np.allclose(x, images / 255.0)
+    # the pixels come back as stored; prepare_ones_vs_sevens scales them
+    assert x.dtype == np.uint8 and x.shape == (5, 4, 4)
+    assert np.array_equal(x, images)
     assert np.array_equal(y, labels)
 
 
@@ -76,6 +79,17 @@ def test_idx_truncation(tmp_path):
             load_mnist_idx(short, lp)
 
 
+def test_idx_dimensions_whose_product_wraps_are_truncation(tmp_path):
+    """(2**31, 2**31, 4) multiplies to 2**64, which is 0 in int64: the
+    header promises far more bytes than the empty payload holds."""
+    path = tmp_path / "huge.idx"
+    path.write_bytes(b"".join(int(v).to_bytes(4, "big") for v in (2051, 2**31, 2**31, 4)))
+    lp = tmp_path / "labs.idx"
+    write_idx_labels(lp, np.zeros(1, dtype=np.uint8))
+    with pytest.raises(IdxTruncatedError):
+        load_mnist_idx(path, lp)
+
+
 def test_idx_count_mismatch(tmp_path):
     images = np.zeros((3, 4, 4), dtype=np.uint8)
     labels = np.zeros(4, dtype=np.uint8)
@@ -102,7 +116,7 @@ def test_pool2x2_averages_blocks():
 
 def test_prepare_ones_vs_sevens_maps_labels():
     rng = np.random.default_rng(1)
-    images = rng.random((8, 28, 28))
+    images = rng.integers(0, 256, size=(8, 28, 28), dtype=np.uint8)
     labels = np.array([1, 7, 3, 1, 7, 7, 0, 1])
     ds = prepare_ones_vs_sevens(images, labels)
     assert ds.n == 6
@@ -111,6 +125,61 @@ def test_prepare_ones_vs_sevens_maps_labels():
     assert np.bincount(ds.labels).tolist() == [3, 3]
     with pytest.raises(DataError):
         prepare_ones_vs_sevens(images, np.full(8, 3))
+
+
+def _digits(rng, n_keep, n_other=5):
+    """uint8 images with n_keep 1s and 7s (at least one of each) among
+    n_other other digits, in a shuffled order."""
+    kept = np.concatenate([[1, 7], rng.choice([1, 7], n_keep - 2)])
+    labels = rng.permutation(np.concatenate([kept, rng.choice([0, 3, 9], n_other)]))
+    return rng.integers(0, 256, size=(labels.size, 28, 28), dtype=np.uint8), labels
+
+
+@pytest.mark.parametrize(
+    "n_keep", [2, _POOL_ROWS - 1, _POOL_ROWS, _POOL_ROWS + 1, 2 * _POOL_ROWS + 1]
+)
+def test_prepare_ones_vs_sevens_keeps_the_bits_of_scaling_every_image(n_keep):
+    """Block by block, the kept images get the very features of scaling the
+    whole array to floats first; the smallest kept count is 2, one 1 and
+    one 7, and the counts around the block size leave a last block of
+    block - 1, 0 and 1 images."""
+    images, labels = _digits(np.random.default_rng(n_keep), n_keep)
+    keep = (labels == 1) | (labels == 7)
+    old = pool2x2((images.astype(float) / 255.0)[keep]).reshape(n_keep, -1)
+    ds = prepare_ones_vs_sevens(images, labels)
+    assert ds.features.dtype == np.float64
+    assert np.array_equal(ds.features, old)
+    assert np.array_equal(ds.features.view(np.int64), old.view(np.int64))
+    assert np.array_equal(ds.labels, (labels[keep] == 7).astype(int))
+
+
+def test_prepare_ones_vs_sevens_rejects_a_missing_digit_and_odd_images():
+    images, labels = _digits(np.random.default_rng(2), 10)
+    for gone in (1, 7):
+        with pytest.raises(DataError):
+            prepare_ones_vs_sevens(images, np.where(labels == gone, 3, labels))
+    with pytest.raises(DataError):
+        prepare_ones_vs_sevens(images[:, :27, :], labels)
+    with pytest.raises(DataError):
+        prepare_ones_vs_sevens(images[:, :, :27], labels)
+
+
+def test_ingestion_holds_no_float_copy_of_the_image_file(tmp_path):
+    """Loading and preparing 3,000 28x28 images peaks well below the
+    float64 size of the file's pixels; scaling every image before the
+    1-vs-7 filter peaked at about 1.26 times that size."""
+    rng = np.random.default_rng(0)
+    images = rng.integers(0, 256, size=(3000, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=3000).astype(np.uint8)
+    ip, lp = _write_pair(tmp_path, images, labels)
+    tracemalloc.start()
+    try:
+        ds = prepare_ones_vs_sevens(*load_mnist_idx(ip, lp))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n == np.isin(labels, (1, 7)).sum()
+    assert peak < 0.5 * images.size * np.dtype(np.float64).itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +194,7 @@ def _balanced_ds(n_per_class, n_classes=2, d=3, seed=0):
 
 def test_noise_injection_exact_counts():
     ds = _balanced_ds(1000)
+    features, labels = ds.features.copy(), ds.labels.copy()
     noisy = inject_label_noise(ds, NoiseSpec(rates=(0.3, 0.1), seed=0))
     flipped0 = np.sum((noisy.true_labels == 0) & noisy.mislabel_mask)
     flipped1 = np.sum((noisy.true_labels == 1) & noisy.mislabel_mask)
@@ -133,7 +203,10 @@ def test_noise_injection_exact_counts():
     assert np.array_equal(noisy.mislabel_mask, noisy.labels != noisy.true_labels)
     # binary problems flip to the only other class
     assert np.all(noisy.labels[noisy.mislabel_mask] == 1 - noisy.true_labels[noisy.mislabel_mask])
-    assert np.array_equal(noisy.features, ds.features)
+    # only labels change: the features are shared, and the clean set is left as it was
+    assert noisy.features is ds.features
+    assert np.array_equal(ds.features, features) and np.array_equal(ds.labels, labels)
+    assert ds.true_labels is None and ds.mislabel_mask is None
 
 
 def test_noise_injection_zero_rate_is_identity():
