@@ -38,6 +38,7 @@ from .data import (
     load_mnist_idx,
     prepare_ones_vs_sevens,
     save_dataset_csv,
+    stratified_indices,
     stratified_split,
     synthetic_gaussian_2class,
 )
@@ -275,12 +276,12 @@ def data_root(cfg: dict) -> Path:
 # ---------------------------------------------------------------------------
 # dataset assembly
 
-def _subsample(ds: LabeledDataset, n: int, seed: int) -> LabeledDataset:
-    if n >= ds.n:
-        return ds
-    frac = n / ds.n
-    part, _ = stratified_split(ds, [frac, 1.0 - frac], seed=seed)
-    return part
+def _subsample(labels: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Ascending positions of a stratified subsample of n of the labels."""
+    if n >= labels.size:
+        return np.arange(labels.size)
+    frac = n / labels.size
+    return stratified_indices(labels, [frac, 1.0 - frac], seed=seed)[0]
 
 
 def _noise_spec(cfg: dict) -> NoiseSpec:
@@ -289,9 +290,12 @@ def _noise_spec(cfg: dict) -> NoiseSpec:
 
 def _noisy_mnist_train(cfg: dict, root: Path, noise: NoiseSpec) -> LabeledDataset:
     """The MNIST training files, filtered to 1-vs-7, subsampled, and
-    relabelled by the given noise."""
+    relabelled by the given noise. The subsample depends on the labels
+    alone, so only its images are scaled and pooled."""
     imgs, labs = load_mnist_idx(root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte")
-    clean = _subsample(prepare_ones_vs_sevens(imgs, labs), cfg["data"]["subsample"], noise.seed)
+    rows = np.flatnonzero((labs == 1) | (labs == 7))
+    rows = rows[_subsample((labs[rows] == 7).astype(int), cfg["data"]["subsample"], noise.seed)]
+    clean = prepare_ones_vs_sevens(imgs[rows], labs[rows])
     return inject_label_noise(clean, noise)
 
 

@@ -147,24 +147,6 @@ def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     return images, labels.astype(int)
 
 
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Inverse of the image half of load_mnist_idx (expects uint8 data)."""
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        for v in (_IMAGE_MAGIC, n, rows, cols):
-            fh.write(int(v).to_bytes(4, "big"))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        for v in (_LABEL_MAGIC, labels.shape[0]):
-            fh.write(int(v).to_bytes(4, "big"))
-        fh.write(labels.tobytes())
-
-
 def pool2x2(images: np.ndarray) -> np.ndarray:
     """Downsample (n, 2r, 2c) images to (n, r, c) by 2x2 mean pooling."""
     n, rows, cols = images.shape
@@ -323,22 +305,28 @@ def synthetic_gaussian_2class(n: int, mu, cov, seed: int = 0) -> LabeledDataset:
     return LabeledDataset(feats[order], labels[order])
 
 
-def stratified_split(ds: LabeledDataset, fractions, seed: int = 0) -> list[LabeledDataset]:
-    """Split into len(fractions) parts, preserving class proportions.
-    Fractions must sum to 1; remainders go to the last part."""
+def stratified_indices(labels: np.ndarray, fractions, seed: int = 0) -> list[np.ndarray]:
+    """The ascending row indices of stratified_split's parts; they depend
+    on the labels alone."""
     fr = np.asarray(fractions, dtype=float)
     if np.any(fr <= 0) or abs(fr.sum() - 1.0) > 1e-9:
         raise DataError("fractions must be positive and sum to 1")
     rng = np.random.default_rng(seed)
     parts: list[list[np.ndarray]] = [[] for _ in fr]
-    for c in range(ds.n_classes):
-        members = rng.permutation(np.flatnonzero(ds.labels == c))
+    for c in range(int(labels.max()) + 1 if labels.size else 0):
+        members = rng.permutation(np.flatnonzero(labels == c))
         edges = np.floor(np.cumsum(fr) * members.size + 0.5).astype(int)
         start = 0
         for j, stop in enumerate(edges):
             parts[j].append(members[start:stop])
             start = stop
-    return [ds.subset(np.sort(np.concatenate(p))) for p in parts]
+    return [np.sort(np.concatenate(p)) for p in parts]
+
+
+def stratified_split(ds: LabeledDataset, fractions, seed: int = 0) -> list[LabeledDataset]:
+    """Split into len(fractions) parts, preserving class proportions.
+    Fractions must sum to 1; remainders go to the last part."""
+    return [ds.subset(idx) for idx in stratified_indices(ds.labels, fractions, seed)]
 
 
 # ---------------------------------------------------------------------------

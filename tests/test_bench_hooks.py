@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _surrogate import write_idx_images, write_idx_labels
+
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 _TRACING = _BENCH / "tracing.py"
 
@@ -142,15 +144,14 @@ def test_mnist_ingestion_spans_fire(tmp_path, monkeypatch):
     the traced mnist-train workload requires."""
     tracing = _load_tracing()
     cli = importlib.import_module("drfit.cli")
-    data = importlib.import_module("drfit.data")
     rng = np.random.default_rng(0)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     for stem, n in (("train", 120), ("t10k", 40)):
         images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
-        data.write_idx_images(corpus / f"{stem}-images-idx3-ubyte", images)
+        write_idx_images(corpus / f"{stem}-images-idx3-ubyte", images)
         labels = rng.permutation(np.resize(np.array([1, 7, 3], dtype=np.uint8), n))
-        data.write_idx_labels(corpus / f"{stem}-labels-idx1-ubyte", labels)
+        write_idx_labels(corpus / f"{stem}-labels-idx1-ubyte", labels)
 
     called = collections.Counter()
 

@@ -1,6 +1,7 @@
 """Config plumbing, run artifacts, sweeps, and exit codes."""
 
 import csv
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drfit.cli as cli
-from drfit import theory
+from drfit import data, theory
 from drfit.cli import (
     ConfigError,
     config_digest,
@@ -22,9 +23,16 @@ from drfit.cli import (
     run_training_experiment,
     validate_config,
 )
-from drfit.data import load_dataset_csv
+from drfit.data import (
+    NoiseSpec,
+    inject_label_noise,
+    load_dataset_csv,
+    load_mnist_idx,
+    prepare_ones_vs_sevens,
+    stratified_split,
+)
 
-from _surrogate import mnist_root
+from _surrogate import _FILES, _build, mnist_root
 
 
 def _synth_cfg(out_dir, **extra):
@@ -584,6 +592,54 @@ def test_detect_with_too_few_bins_exits_2_and_writes_nothing(tmp_path):
     assert "weight_histogram.csv" not in before
     # the bin check comes before any file is read
     assert main(["detect", str(tmp_path / "missing"), snapshot, "--bins", "1"]) == 2
+
+
+def _mnist_cfg(root, subsample=2000):
+    return validate_config(load_config(None, [
+        "kind=mnist-1v7", f"data.root={root}", f"data.subsample={subsample}",
+        "noise.rates=[0.3,0.1]", "noise.seed=0",
+    ]))
+
+
+def test_mnist_datasets_are_those_of_pooling_every_image_first(tmp_path):
+    """build_datasets picks the training subsample from the 1-vs-7 labels
+    and pools only its images; the sets are those of pooling every 1 and 7
+    and then subsampling, the order this replaced, and their bytes on the
+    seed-0 bench corpus are the ones that order wrote."""
+    _build(tmp_path, seed=0)
+    sets = cli.build_datasets(_mnist_cfg(tmp_path))
+    every = prepare_ones_vs_sevens(*load_mnist_idx(tmp_path / _FILES[0], tmp_path / _FILES[1]))
+    frac = 2000 / every.n
+    clean, _ = stratified_split(every, [frac, 1.0 - frac], seed=0)
+    noisy = inject_label_noise(clean, NoiseSpec((0.3, 0.1), 0))
+    test = prepare_ones_vs_sevens(*load_mnist_idx(tmp_path / _FILES[2], tmp_path / _FILES[3]))
+    h = hashlib.sha256()
+    for got, want in zip(sets, [*stratified_split(noisy, [0.9, 0.1], seed=1), test]):
+        assert np.array_equal(got.features, want.features)
+        for name in ("labels", "true_labels", "mislabel_mask"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for a in (got.features, got.labels, got.true_labels, got.mislabel_mask):
+            if a is not None:
+                h.update(a.tobytes())
+    assert [ds.n for ds in sets] == [1800, 200, 1000]
+    assert h.hexdigest() == "e745a78dfde7fcc04b5f714adb9cbbe4366465396a77aaa24c06e866c56c6910"
+
+
+def test_only_the_training_subsample_is_pooled(monkeypatch):
+    root, _ = mnist_root()
+    pool2x2 = data.pool2x2
+    pooled = []
+
+    def counting(block):
+        pooled.append(block.shape[0])
+        return pool2x2(block)
+
+    monkeypatch.setattr(data, "pool2x2", counting)
+    train, val, test = cli.build_datasets(_mnist_cfg(root, subsample=300))
+    assert train.n + val.n == 300
+    # the 300 kept training rows in blocks of 256, then every test 1 and 7
+    assert pooled[:2] == [256, 44]
+    assert sum(pooled[2:]) == test.n
 
 
 def test_mnist_prep_snapshot_roundtrip(tmp_path):

@@ -25,9 +25,9 @@ from drfit.data import (
     save_dataset_csv,
     stratified_split,
     synthetic_gaussian_2class,
-    write_idx_images,
-    write_idx_labels,
 )
+
+from _surrogate import write_idx_images, write_idx_labels
 
 
 # ---------------------------------------------------------------------------
