@@ -561,11 +561,10 @@ def _report_theory_mv(cfg: dict) -> list[dict]:
 
     try:
         case = theory.mv_gaussian_case(mu, cov, q, nodes=nodes)
-        s_star_closed = np.linalg.solve(cov, mu)
         gauss = theory.MvGaussian(tuple(mu), tuple(map(tuple, cov)))
         clean = theory.PopulationProblem(gauss, q=0.0, nodes=nodes)
         s_star_opt = theory.general_mv_estimator(clean, 0.0)
-        err = float(np.linalg.norm(s_star_opt - s_star_closed))
+        err = float(np.linalg.norm(s_star_opt - np.asarray(case.s_star)))
         entries.append(_entry("gaussian_s_star_error", err, tol=1e-5, passed=err < 1e-5))
         resid = theory.w_identity_residual(mu, cov, nodes=nodes)
         entries.append(_entry("w_identity_residual", resid, tol=1e-6, passed=abs(resid) < 1e-6))
@@ -742,6 +741,9 @@ def run_detect(run_dir: str, snapshot: str, bins: int = 50) -> dict:
     ds = load_dataset_csv(snapshot)
     if ds.mislabel_mask is None:
         raise DataError("snapshot has no mislabel mask")
+    if ds.mislabel_mask.all() or not ds.mislabel_mask.any():
+        raise DataError(f"{snapshot}: detection needs flipped and clean labels, "
+                        f"and {int(ds.mislabel_mask.sum())} of {ds.n} are flipped")
     if len(omega) != ds.n:
         raise DataError("weights and snapshot have different lengths")
     auc = detection_auc(omega, ds.mislabel_mask)

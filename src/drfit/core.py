@@ -17,8 +17,7 @@ and substituting it back leaves the reduced loss
                + (lam/2) * ||theta||^2
 
 up to the additive constant alpha * sum_k (n_k log n_k - n_k) with
-n_k = rho_k |C_k|, which this module exposes for cross-checks but keeps
-out of h itself.
+n_k = rho_k |C_k|, which h leaves out.
 """
 
 from __future__ import annotations
@@ -95,37 +94,25 @@ def _scale(spread: np.ndarray, count: np.ndarray, rho: np.ndarray) -> np.ndarray
 
 def scale_members(omega: np.ndarray, member: np.ndarray, count: np.ndarray,
                   rho: np.ndarray) -> np.ndarray:
-    """scale_to_budgets for the class membership (member, count) of class_members."""
+    """Scale, in place, the weights of each class present in the membership
+    (member, count) of class_members so they sum to rho_c times the class's
+    count; returns omega. Each row of stacked weights (..., n) is scaled on
+    its own; entries of no class get weight 0."""
     omega[...] = _scale(member * omega[..., None, :], count, rho)
     return omega
 
 
-def scale_to_budgets(omega: np.ndarray, labels: np.ndarray, rho: np.ndarray,
-                     valid: np.ndarray | None = None) -> np.ndarray:
-    """Scale, in place, the weights of each class present in `labels` (which
-    index rho) so they sum to rho_c times the class's count; returns omega.
-    Each row of stacked weights (..., n) is scaled on its own; entries where
-    `valid` is False get weight 0 and are not counted."""
-    return scale_members(omega, *class_members(labels, rho.size, valid), rho)
-
-
 def member_weights(losses: np.ndarray, member: np.ndarray, count: np.ndarray, rho: np.ndarray,
                    alpha: float) -> np.ndarray:
-    """closed_form_weights for the class membership (member, count) of class_members."""
+    """Per-class softmax of -loss/alpha over the classes present in the
+    membership (member, count) of class_members, scaled to the class
+    budgets, within each row (the last axis) of stacked losses. Entries of
+    no class get weight 0 and are not counted."""
     # -loss/alpha in each entry's class row, -inf (weight 0) elsewhere
     spread = np.where(member, (losses / -alpha)[..., None, :], -np.inf)
     top = spread.max(axis=-1, keepdims=True)
     np.subtract(spread, top, out=spread, where=member)
     return _scale(np.exp(spread, out=spread), count, rho)
-
-
-def closed_form_weights(losses: np.ndarray, labels: np.ndarray, rho: np.ndarray,
-                        alpha: float, valid: np.ndarray | None = None) -> np.ndarray:
-    """Per-class softmax of -loss/alpha over the classes present in
-    `labels`, scaled to the class budgets, within each row (the last axis)
-    of stacked losses. Entries where `valid` is False get weight 0 and are
-    not counted."""
-    return member_weights(losses, *class_members(labels, rho.size, valid), rho, alpha)
 
 
 def _class_sizes(labels: np.ndarray, n: int) -> np.ndarray:
@@ -147,7 +134,7 @@ def analytic_weights(losses: np.ndarray, labels: np.ndarray, cfg: DrFitConfig) -
     if not np.all(np.isfinite(losses)):
         raise ValueError("losses must be finite")
     rho = cfg.rho_for(_class_sizes(labels, losses.shape[-1]).size)
-    return closed_form_weights(losses, labels, rho, cfg.alpha)
+    return member_weights(losses, *class_members(labels, rho.size), rho, cfg.alpha)
 
 
 def reduced_loss(losses: np.ndarray, theta_sq: float, labels: np.ndarray,
@@ -181,29 +168,3 @@ def reduced_loss_grad(
     w = analytic_weights(losses, labels, cfg)
     return w @ grads + cfg.lam * theta
 
-
-def entropy_penalty(omega: np.ndarray) -> float:
-    """sum_i (omega_i log omega_i - omega_i), with 0 log 0 = 0."""
-    omega = np.asarray(omega, dtype=np.float64)
-    if np.any(omega < 0):
-        raise ValueError("observation weights must be nonnegative")
-    terms = np.where(omega > 0, omega * np.log(np.where(omega > 0, omega, 1.0)), 0.0)
-    return float((terms - omega).sum())
-
-
-def full_objective(
-    losses: np.ndarray, omega: np.ndarray, theta_sq: float, cfg: DrFitConfig
-) -> float:
-    """The coupled objective at explicit weights; used to monitor the
-    numeric solver and to validate the closed form."""
-    losses = np.asarray(losses, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64)
-    return float(omega @ losses + cfg.alpha * entropy_penalty(omega) + 0.5 * cfg.lam * theta_sq)
-
-
-def objective_constant(labels: np.ndarray, cfg: DrFitConfig) -> float:
-    """alpha * sum_k (n_k log n_k - n_k), n_k = rho_k |C_k|: the constant
-    separating full_objective at the analytic weights from reduced_loss."""
-    count = _class_sizes(labels, np.size(labels))
-    n_k = cfg.rho_for(count.size) * count
-    return float(cfg.alpha * (n_k * np.log(n_k) - n_k).sum())

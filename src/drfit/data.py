@@ -3,8 +3,8 @@ Gaussian pairs, seeded label-noise injection, and per-class weight budgets.
 
 The weight budget rho_c = p(c) / (1 - q(c)) uses p(c), the proportion of
 examples labelled c that really are class c, and q(c), the rate at which
-true class-c labels were flipped away. Both can come from known
-simulation rates or be estimated from a clean validation table.
+true class-c labels were flipped away; both follow from the known
+simulation flip rates.
 """
 
 from __future__ import annotations
@@ -215,9 +215,10 @@ def inject_label_noise(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
 # ---------------------------------------------------------------------------
 # rho estimation
 
-def rho_from_rates(class_sizes, flip_rates) -> np.ndarray:
-    """rho_c = p(c) / (1 - q(c)) computed from known flip rates, with
-    p(c) the expected fraction of label-c examples that are truly c."""
+def estimate_rho(class_sizes, flip_rates) -> np.ndarray:
+    """Per-class weight budgets rho_c = p(c) / (1 - q(c)) from known flip
+    rates, with p(c) the expected fraction of label-c examples that are
+    truly c."""
     sizes = np.asarray(class_sizes, dtype=float)
     rates = np.asarray(flip_rates, dtype=float)
     if sizes.shape != rates.shape:
@@ -236,48 +237,6 @@ def rho_from_rates(class_sizes, flip_rates) -> np.ndarray:
         raise ZeroDivisionError("a class receives no labels at these rates")
     p = stay / labelled
     return p / (1.0 - rates)
-
-
-def rho_from_validation(confusion) -> np.ndarray:
-    """rho_c from a clean validation contingency table; confusion[t, o]
-    counts examples with true class t observed as o."""
-    table = np.asarray(confusion, dtype=float)
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise DataError("confusion table must be square")
-    observed = table.sum(axis=0)
-    per_true = table.sum(axis=1)
-    if np.any(observed == 0) or np.any(per_true == 0):
-        raise DataError("every class must appear as both true and observed")
-    diag = np.diag(table)
-    p = diag / observed
-    q = 1.0 - diag / per_true
-    if np.any(q >= 1.0):
-        raise ZeroDivisionError("flip rate of 1 leaves no correct labels")
-    return p / (1.0 - q)
-
-
-def estimate_rho(
-    class_sizes=None,
-    flip_rates=None,
-    confusion=None,
-    appendix_mode: bool = False,
-) -> np.ndarray:
-    """Per-class weight budgets. Pass class_sizes + flip_rates (known
-    simulation rates), or a confusion table from clean validation data.
-    appendix_mode forces rho identically 1."""
-    if appendix_mode:
-        if class_sizes is not None:
-            return np.ones(len(class_sizes))
-        if confusion is not None:
-            return np.ones(np.asarray(confusion).shape[0])
-        raise DataError("appendix mode still needs the number of classes")
-    if confusion is not None:
-        if class_sizes is not None or flip_rates is not None:
-            raise DataError("give either rates or a validation table, not both")
-        return rho_from_validation(confusion)
-    if class_sizes is None or flip_rates is None:
-        raise DataError("need class sizes plus flip rates, or a validation table")
-    return rho_from_rates(class_sizes, flip_rates)
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +324,28 @@ def save_dataset_csv(ds: LabeledDataset, path) -> None:
 
 
 def load_dataset_csv(path) -> LabeledDataset:
+    """Read a save_dataset_csv snapshot. An empty file, a missing label
+    column, and a row that is short, long or not numeric are DataErrors
+    naming the file, and the line of a bad row."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataError(f"{path}: empty snapshot, no header")
+    header, rows = rows[0], rows[1:]
     if "label" not in header:
-        raise DataError("snapshot is missing the label column")
+        raise DataError(f"{path}: snapshot is missing the label column")
     d = header.index("label")
-    has_true = "true_label" in header
-    has_mask = "mislabel" in header
-    feats = np.array([[float(v) for v in r[:d]] for r in rows])
-    labels = np.array([int(r[d]) for r in rows])
-    true_labels = (
-        np.array([int(r[header.index("true_label")]) for r in rows]) if has_true else None
-    )
-    mask = (
-        np.array([bool(int(r[header.index("mislabel")])) for r in rows]).astype(bool)
-        if has_mask
-        else None
-    )
-    return LabeledDataset(feats, labels, true_labels, mask)
+    names = [c for c in ("label", "true_label", "mislabel") if c in header]
+    cols = [header.index(c) for c in names]
+    feats, ints = [], []
+    for line, r in enumerate(rows, start=2):
+        try:
+            if len(r) != len(header):
+                raise ValueError(f"{len(r)} cells for {len(header)} columns")
+            feats.append([float(v) for v in r[:d]])
+            ints.append([int(r[j]) for j in cols])
+        except ValueError as exc:
+            raise DataError(f"{path}, line {line}: {exc}") from None
+    columns = dict(zip(names, np.array(ints, dtype=int).reshape(-1, len(names)).T))
+    return LabeledDataset(np.array(feats), columns["label"], columns.get("true_label"),
+                          columns.get("mislabel"))

@@ -21,8 +21,6 @@ class WeightHistogram:
     edges: np.ndarray
     correct_counts: np.ndarray
     mislabelled_counts: np.ndarray
-    correct_empty: bool
-    mislabelled_empty: bool
 
 
 @dataclass(frozen=True)
@@ -54,23 +52,16 @@ def weight_histogram(omega, mask, bins: int = 50) -> WeightHistogram:
     edges = np.linspace(0.0, top, bins + 1)
     c_counts, _ = np.histogram(correct, bins=edges)
     w_counts, _ = np.histogram(wrong, bins=edges)
-    return WeightHistogram(
-        edges=edges,
-        correct_counts=c_counts,
-        mislabelled_counts=w_counts,
-        correct_empty=correct.size == 0,
-        mislabelled_empty=wrong.size == 0,
-    )
+    return WeightHistogram(edges, c_counts, w_counts)
 
 
-def separation_curve(omega, mask, thresholds=None) -> SeparationCurve:
-    """Sweep a threshold t: points with omega < t are flagged as
-    mislabelled. Reports what that keeps and what it catches."""
+def separation_curve(omega, mask) -> SeparationCurve:
+    """Sweep a threshold t over 201 points from 0 to just above the largest
+    weight: points with omega < t are flagged as mislabelled. Reports what
+    that keeps and what it catches."""
     correct, wrong = _split_groups(omega, mask)
-    if thresholds is None:
-        top = float(np.max(omega)) if len(omega) else 1.0
-        thresholds = np.linspace(0.0, top * 1.0001, 201)
-    t = np.asarray(thresholds, dtype=float)
+    top = float(np.max(omega)) if len(omega) else 1.0
+    t = np.linspace(0.0, top * 1.0001, 201)
     kept = (
         (correct[None, :] >= t[:, None]).mean(axis=1)
         if correct.size
@@ -97,10 +88,10 @@ def detection_auc(omega, mask) -> float:
     return float(u / (correct.size * wrong.size))
 
 
-def crash_detector(vals, chance: float, window: float = 0.5, tol: float = 0.02) -> bool:
-    """True when the validation accuracies, one per epoch, sit within tol of
-    the chance level for the entire final `window` fraction of epochs."""
+def crash_detector(vals, chance: float) -> bool:
+    """True when the validation accuracies, one per epoch, sit within 0.02
+    of the chance level for the entire final half of the epochs."""
     if len(vals) == 0:
         raise ValueError("no validation accuracies")
-    tail = vals[int(len(vals) * (1.0 - window)):]
-    return all(abs(v - chance) <= tol for v in tail)
+    tail = vals[len(vals) // 2:]
+    return all(abs(v - chance) <= 0.02 for v in tail)

@@ -70,16 +70,6 @@ class Discrete:
 
 
 @dataclass(frozen=True)
-class Uniform:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("uniform interval must have positive length")
-
-
-@dataclass(frozen=True)
 class Gaussian:
     mean: float
     var: float
@@ -132,8 +122,6 @@ def negate(dist):
     problem's implicit class 0 is built once."""
     if isinstance(dist, Discrete):
         return Discrete(tuple(-v for v in dist.values), dist.probs)
-    if isinstance(dist, Uniform):
-        return Uniform(-dist.hi, -dist.lo)
     if isinstance(dist, Gaussian):
         return Gaussian(-dist.mean, dist.var)
     if isinstance(dist, MvGaussian):
@@ -151,8 +139,8 @@ def negate(dist):
 @lru_cache(maxsize=32)
 def nodes_weights(dist, nodes: int = 64):
     """Quadrature nodes and weights such that E[f(X)] ~= sum w_i f(x_i):
-    Gauss-Hermite for Gaussians, Gauss-Legendre for bounded intervals (both
-    need at least 32 nodes), exact summation for discrete atoms, and tensor
+    Gauss-Hermite for Gaussians, Gauss-Legendre for boxes (both need at
+    least 32 nodes), exact summation for discrete atoms, and tensor
     products of the 1-D rules in two dimensions.
 
     One-dimensional distributions give a vector of nodes; two-dimensional
@@ -165,10 +153,6 @@ def nodes_weights(dist, nodes: int = 64):
         raise ValueError("tensor-product quadrature is limited to two dimensions")
     if isinstance(dist, Discrete):
         x, w = np.asarray(dist.values, dtype=float), np.asarray(dist.probs, dtype=float)
-    elif isinstance(dist, Uniform):
-        t, w = special.roots_legendre(nodes)
-        mid, half = 0.5 * (dist.lo + dist.hi), 0.5 * (dist.hi - dist.lo)
-        x, w = mid + half * t, 0.5 * w
     elif isinstance(dist, Gaussian):
         t, w = special.roots_hermite(nodes)
         x, w = dist.mean + math.sqrt(2.0 * dist.var) * t, w / math.sqrt(math.pi)
@@ -396,7 +380,7 @@ def weighted_estimator_1d(prob: PopulationProblem, b: float) -> float:
     return _refine_max(prob, b, grid[k - 1], grid[k + 1])[0]
 
 
-def find_bstar_1d(prob: PopulationProblem, tol: float = 1e-6, estimate=None) -> float:
+def find_bstar_1d(prob: PopulationProblem, estimate=None) -> float:
     """The b in [0, 1) at which the weighted estimator recovers the clean
     one. Uses that s_w(b) is increasing in b for symmetric problems.
 
@@ -411,6 +395,7 @@ def find_bstar_1d(prob: PopulationProblem, tol: float = 1e-6, estimate=None) -> 
     estimate = estimate or cache(weighted_estimator_1d)
     s_star = clean_estimator_1d(prob, estimate)
     s0 = estimate(prob, 0.0)
+    tol = 1e-6  # an s(0) this close to s* already recovers it
     if s0 > s_star + tol:
         raise HypothesisViolation("unweighted estimate already exceeds the clean one")
     if abs(s0 - s_star) < tol:
@@ -444,21 +429,13 @@ class MvGaussianCase:
     s_star: tuple[float, ...]
     reduction: PopulationProblem
 
-    def c_hat(self, b: float) -> float:
-        """Coefficient of the weighted estimate on u. As b approaches 1
-        the defining integrand develops a boundary layer of width
-        ~1/(2bs) and the default node budget under-resolves it; trust
-        this route for b up to around the clean-recovery point."""
-        return weighted_estimator_1d(self.reduction, b)
-
-    def estimate(self, b: float) -> np.ndarray:
-        return self.c_hat(b) * np.asarray(self.u)
-
-    def find_bstar(self, tol: float = 1e-6) -> float:
-        return find_bstar_1d(self.reduction, tol)
-
 
 def mv_gaussian_case(mu, cov, q, nodes: int = 64) -> MvGaussianCase:
+    """The Gaussian case of mu, cov and flip rate q. The weighted estimate
+    at b is weighted_estimator_1d(reduction, b) * u, and b* is
+    find_bstar_1d(reduction). As b approaches 1 the reduction's integrand
+    develops a boundary layer of width ~1/(2bs) that the default node
+    budget under-resolves; trust this route for b up to around b*."""
     mu = np.asarray(mu, dtype=float)
     cov = np.asarray(cov, dtype=float)
     try:
@@ -653,7 +630,7 @@ def _newton(fun, x0, args=(), gtol=1e-12, maxiter=1000, **_):
 _MV_START_SCALES = (0.1, 1.0, 5.0)
 
 
-def _mv_maximise(prob: PopulationProblem, b: float, starts=None, gtol: float = 1e-12):
+def _mv_maximise(prob: PopulationProblem, b: float, starts=None):
     """general_mv_estimator's search; also returns the Newton iterations it
     took over all starts and the largest final gradient norm among them."""
     fgh = _mv_neg_objective(prob, b)
@@ -663,7 +640,7 @@ def _mv_maximise(prob: PopulationProblem, b: float, starts=None, gtol: float = 1
     nit, max_grad = 0, 0.0
     for x0 in starts:
         res = optimize.minimize(fgh, np.asarray(x0, dtype=float), method=_newton,
-                                options={"gtol": gtol, "maxiter": 1000})
+                                options={"gtol": 1e-12, "maxiter": 1000})
         grad_norm = float(np.linalg.norm(res.jac))
         nit += res.nit
         max_grad = max(max_grad, grad_norm)
@@ -685,31 +662,23 @@ def _mv_maximise(prob: PopulationProblem, b: float, starts=None, gtol: float = 1
     return best, nit, max_grad
 
 
-def general_mv_estimator(
-    prob: PopulationProblem,
-    b: float,
-    starts=None,
-    gtol: float = 1e-12,
-) -> np.ndarray:
+def general_mv_estimator(prob: PopulationProblem, b: float, starts=None) -> np.ndarray:
     """Maximise O_b(s) over s in R^2 by damped Newton ascent with the exact
     Hessian from several starting points; returns the best stationary
     point found."""
-    return _mv_maximise(prob, b, starts, gtol)[0]
+    return _mv_maximise(prob, b, starts)[0]
 
 
 @dataclass(frozen=True)
 class MvBstarResult:
     b_star: float
     ratio: float
-    s_star: tuple[float, ...]
-    s_noisy: tuple[float, ...]
-    s_best: tuple[float, ...]
     newton_iterations: int
     max_grad_norm: float
 
 
-def find_mv_bstar(prob: PopulationProblem, b_hi: float = 0.95, tol: float = 1e-4) -> MvBstarResult:
-    """Search b in [0, b_hi] for the weighted estimate closest to the
+def find_mv_bstar(prob: PopulationProblem, tol: float = 1e-4) -> MvBstarResult:
+    """Search b in [0, 0.95] for the weighted estimate closest to the
     clean optimum; reports the distance ratio against the unweighted one,
     with the Newton iterations of every solve of the search and the
     largest final gradient norm among them."""
@@ -725,18 +694,17 @@ def find_mv_bstar(prob: PopulationProblem, b_hi: float = 0.95, tol: float = 1e-4
     s0 = solve(prob, 0.0)
     d0 = float(np.linalg.norm(s0 - s_star))
     if d0 == 0.0:
-        return MvBstarResult(0.0, 0.0, tuple(s_star), tuple(s0), tuple(s0), nit, max_grad)
+        return MvBstarResult(0.0, 0.0, nit, max_grad)
 
     def dist(b: float) -> float:
         sb = solve(prob, b, starts=[s_star, 0.5 * s_star + 0.5 * s0])
         return float(np.linalg.norm(sb - s_star))
 
-    b_star = optimize.minimize_scalar(dist, bounds=(0.0, b_hi), method="bounded",
+    b_star = optimize.minimize_scalar(dist, bounds=(0.0, 0.95), method="bounded",
                                       options={"xatol": tol}).x
     s_best = solve(prob, b_star, starts=[s_star])
     ratio = float(np.linalg.norm(s_best - s_star)) / d0
-    return MvBstarResult(float(b_star), ratio, tuple(s_star), tuple(s0), tuple(s_best),
-                         nit, max_grad)
+    return MvBstarResult(float(b_star), ratio, nit, max_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +715,6 @@ class ScanEntry:
     alpha: float
     b: float
     argmax: float
-    value: float
     local_maxima: tuple[tuple[float, float], ...]
 
 
@@ -761,16 +728,11 @@ class ScanReport:
         return max(len(e.local_maxima) for e in self.entries)
 
 
-def discontinuity_scan(
-    prob: PopulationProblem,
-    alpha_grid,
-    s_max: float = 30.0,
-    grid_points: int = 6001,
-) -> ScanReport:
+def discontinuity_scan(prob: PopulationProblem, alpha_grid, grid_points: int = 6001) -> ScanReport:
     """Track the global maximiser of O_{1/alpha} over an alpha grid and
     report where (if anywhere) it jumps between local-maximum branches.
 
-    A dense s grid locates candidate maxima; each is refined by scipy's
+    A dense s grid on (0, 30] locates candidate maxima; each is refined by scipy's
     bounded Brent method. An argmax move of more than max(0.05, 25%) between
     neighbouring alphas counts as a jump.
 
@@ -782,7 +744,7 @@ def discontinuity_scan(
     alphas = [float(a) for a in alpha_grid]
     if any(a <= 0 for a in alphas):
         raise ValueError("alpha grid must be positive")
-    grid = np.linspace(_BRACKET_LO, s_max, grid_points)
+    grid = np.linspace(_BRACKET_LO, 30.0, grid_points)
     # Whole, the grid's (3, 6001) temporaries pass glibc's 128 KiB mmap threshold and
     # fault in again on every call; a block's (3, 3072) ones stay below it. Blocks start
     # at multiples of the SIMD and BLAS block widths, so every value keeps its bits
@@ -807,8 +769,8 @@ def discontinuity_scan(
         if not peaks:
             k = int(np.argmax(vals))
             peaks.append((float(grid[k]), float(vals[k])))
-        argmax, value = max(peaks, key=lambda p: p[1])
-        entries.append(ScanEntry(a, b, argmax, value, tuple(peaks)))
+        argmax = max(peaks, key=lambda p: p[1])[0]
+        entries.append(ScanEntry(a, b, argmax, tuple(peaks)))
 
     jump_alpha = None
     for prev, cur in zip(entries, entries[1:]):

@@ -16,14 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drfit.core import (
-    DrFitConfig,
-    analytic_weights,
-    full_objective,
-    objective_constant,
-    reduced_loss,
-    reduced_loss_grad,
-)
+from drfit.core import DrFitConfig, analytic_weights, reduced_loss, reduced_loss_grad
 from drfit.data import (
     NoiseSpec,
     estimate_rho,
@@ -36,6 +29,7 @@ from drfit.train import TrainConfig, train
 from drfit import theory
 from drfit.cli import counterexample_problem, load_config, run_training_experiment
 
+from _objective import full_objective, objective_constant
 from _surrogate import mnist_root
 
 
@@ -181,10 +175,9 @@ def test_criterion_05_gaussian_geometry_and_reduction():
         cosine = float(np.clip(s_hat @ u / np.linalg.norm(s_hat), -1.0, 1.0))
         worst_angle = max(worst_angle, math.acos(cosine))
 
-    b_star = case.find_bstar()
-    gap = float(
-        np.linalg.norm(case.estimate(b_star) - np.asarray(theory.general_mv_estimator(prob, b_star)))
-    )
+    b_star = theory.find_bstar_1d(case.reduction)
+    on_u = theory.weighted_estimator_1d(case.reduction, b_star) * u
+    gap = float(np.linalg.norm(on_u - np.asarray(theory.general_mv_estimator(prob, b_star))))
     ok = star_err <= 1e-5 and worst_angle <= 1e-3 and gap <= 1e-4
     _check(
         5,
@@ -388,9 +381,7 @@ def test_criterion_10_weights_expose_the_flipped_labels(mnist_runs):
 def solver_agreement():
     ds = synthetic_gaussian_2class(400, [1.0, 1.0], [[1.0, 0.3], [0.3, 1.0]], seed=7)
     noisy = inject_label_noise(ds, NoiseSpec(rates=(0.2, 0.2), seed=7))
-    rho = estimate_rho(
-        class_sizes=np.bincount(noisy.true_labels), flip_rates=(0.2, 0.2)
-    )
+    rho = estimate_rho(np.bincount(noisy.true_labels), (0.2, 0.2))
     dr = DrFitConfig(alpha=0.35, lam=0.0, rho=tuple(rho))
     init = init_params([2, 8, 1], seed=3)
     kw = dict(epochs=3000, batch_size=400, theta_lr=0.001, seed=11)
@@ -427,9 +418,10 @@ def test_criterion_11_both_solvers_rank_examples_alike(solver_agreement):
 
 @pytest.mark.slow
 def test_criterion_12_budget_arithmetic_and_flat_budget_run(mnist_runs):
-    rho = estimate_rho(class_sizes=(1000, 1000), flip_rates=(0.3, 0.1))
+    rho = estimate_rho((1000, 1000), (0.3, 0.1))
     arithmetic_ok = abs(rho[0] - 1.25) < 1e-10 and abs(rho[1] - 5.0 / 6.0) < 1e-10
-    flat = estimate_rho(class_sizes=(10, 10), appendix_mode=True)
+    # the budgets of the drfit.rho=null runs below
+    flat = DrFitConfig(alpha=0.25, rho=None).rho_for(2)
     flat_ok = np.allclose(flat, 1.0)
 
     an, pl = mnist_runs["analytic_flat"], mnist_runs["plain_flat"]

@@ -24,11 +24,13 @@ from drfit.cli import (
     validate_config,
 )
 from drfit.data import (
+    LabeledDataset,
     NoiseSpec,
     inject_label_noise,
     load_dataset_csv,
     load_mnist_idx,
     prepare_ones_vs_sevens,
+    save_dataset_csv,
     stratified_split,
 )
 
@@ -592,6 +594,50 @@ def test_detect_with_too_few_bins_exits_2_and_writes_nothing(tmp_path):
     assert "weight_histogram.csv" not in before
     # the bin check comes before any file is read
     assert main(["detect", str(tmp_path / "missing"), snapshot, "--bins", "1"]) == 2
+
+
+def _assert_detect_exits_3(run_dir, snapshot, capsys, *needles):
+    """drfit detect exits 3, names the needles on stderr, and writes nothing."""
+    before = sorted(p.name for p in run_dir.iterdir())
+    assert main(["detect", str(run_dir), str(snapshot)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    for needle in needles:
+        assert needle in err
+    assert sorted(p.name for p in run_dir.iterdir()) == before
+    assert "weight_histogram.csv" not in before and "separation_curve.csv" not in before
+
+
+@pytest.mark.parametrize("flipped", [False, True], ids=["none-flipped", "all-flipped"])
+def test_detect_without_both_label_groups_exits_3(tmp_path, capsys, flipped):
+    run_training_experiment(_synth_cfg(tmp_path, replications=1), quiet=True)
+    run_dir = next(Path(tmp_path).glob("*-seed*"))
+    ds = load_dataset_csv(tmp_path / "train_snapshot.csv")
+    mask = np.full(ds.n, flipped)
+    one_group = LabeledDataset(ds.features, np.where(mask, 1 - ds.true_labels, ds.true_labels),
+                               ds.true_labels, mask)
+    snapshot = tmp_path / "one_group.csv"
+    save_dataset_csv(one_group, snapshot)
+    _assert_detect_exits_3(run_dir, snapshot, capsys, str(snapshot), "flipped and clean")
+
+
+@pytest.mark.parametrize("kind", ["empty", "short-row", "non-numeric"])
+def test_detect_on_a_malformed_snapshot_exits_3(tmp_path, capsys, kind):
+    run_training_experiment(_synth_cfg(tmp_path, replications=1), quiet=True)
+    run_dir = next(Path(tmp_path).glob("*-seed*"))
+    lines = (tmp_path / "train_snapshot.csv").read_text().splitlines()
+    needles = []
+    if kind == "empty":
+        lines = []
+    elif kind == "short-row":
+        lines[5] = lines[5].rsplit(",", 1)[0]
+        needles = ["line 6"]
+    else:
+        lines[7] = "x" + lines[7]
+        needles = ["line 8"]
+    snapshot = tmp_path / f"{kind}.csv"
+    snapshot.write_text("".join(line + "\n" for line in lines))
+    _assert_detect_exits_3(run_dir, snapshot, capsys, str(snapshot), *needles)
 
 
 def _mnist_cfg(root, subsample=2000):

@@ -11,16 +11,26 @@ from drfit.core import (
     ConfigError,
     DrFitConfig,
     analytic_weights,
-    closed_form_weights,
-    entropy_penalty,
-    full_objective,
-    objective_constant,
+    class_members,
+    member_weights,
     reduced_loss,
     reduced_loss_grad,
-    scale_to_budgets,
+    scale_members,
 )
 from drfit.nn import MlpParams, mlp_forward, per_example_loss
 from drfit.theory import log_sigma2
+
+from _objective import entropy_penalty, full_objective, objective_constant
+
+
+def _weights(losses, labels, rho, alpha, valid=None):
+    """The closed-form weights of the labels' classes."""
+    return member_weights(losses, *class_members(labels, rho.size, valid), rho, alpha)
+
+
+def _scaled(omega, labels, rho, valid=None):
+    """omega scaled in place to the budgets of the labels' classes."""
+    return scale_members(omega, *class_members(labels, rho.size, valid), rho)
 
 
 def test_weights_hand_value_single_class():
@@ -192,14 +202,14 @@ def test_scale_to_budgets_hand_example():
     """Pre-update weights (0.9, 0.55, 0.95) in one class with budget 1 are
     scaled by 3/2.4."""
     omega = np.array([0.9, 0.55, 0.95])
-    scale_to_budgets(omega, np.zeros(3, dtype=int), np.array([1.0]))
+    _scaled(omega, np.zeros(3, dtype=int), np.array([1.0]))
     assert np.allclose(omega, [1.125, 0.6875, 1.1875], atol=1e-12)
 
 
 def test_scale_to_budgets_rejects_fully_clipped_class():
     omega = np.array([0.0, 0.0])
     with pytest.raises(ValueError):
-        scale_to_budgets(omega, np.zeros(2, dtype=int), np.array([1.0]))
+        _scaled(omega, np.zeros(2, dtype=int), np.array([1.0]))
 
 
 def test_config_validation():
@@ -230,7 +240,7 @@ def _weight_problem(draw):
 @given(problem=_weight_problem(), alpha=st.floats(0.1, 10.0))
 def test_closed_form_weights_meet_every_budget(problem, alpha):
     losses, labels, rho = problem
-    w = closed_form_weights(losses, labels, rho, alpha)
+    w = _weights(losses, labels, rho, alpha)
     for c in np.unique(labels):
         sel = labels == c
         assert math.isclose(w[sel].sum(), rho[c] * sel.sum(), rel_tol=1e-9)
@@ -244,18 +254,18 @@ def test_padded_entries_get_no_weight_and_leave_the_budgets(problem, alpha, data
     losses, labels, rho = problem
     valid = np.array(data.draw(st.lists(st.booleans(), min_size=labels.size,
                                         max_size=labels.size)))
-    w = closed_form_weights(losses, labels, rho, alpha, valid)
+    w = _weights(losses, labels, rho, alpha, valid)
     assert np.all(w[~valid] == 0.0)
     for c in np.unique(labels[valid]):
         sel = valid & (labels == c)
         assert math.isclose(w[sel].sum(), rho[c] * sel.sum(), rel_tol=1e-9)
     if valid.any():
-        np.testing.assert_allclose(w[valid], closed_form_weights(losses[valid], labels[valid],
-                                                                  rho, alpha), rtol=1e-12)
-    scaled = scale_to_budgets(losses + 1.0, labels, rho, valid)
+        np.testing.assert_allclose(w[valid], _weights(losses[valid], labels[valid], rho, alpha),
+                                   rtol=1e-12)
+    scaled = _scaled(losses + 1.0, labels, rho, valid)
     assert np.all(scaled[~valid] == 0.0)
-    np.testing.assert_allclose(scaled[valid], scale_to_budgets(losses[valid] + 1.0, labels[valid],
-                                                               rho), rtol=1e-12)
+    np.testing.assert_allclose(scaled[valid], _scaled(losses[valid] + 1.0, labels[valid], rho),
+                               rtol=1e-12)
 
 
 def test_weights_of_stacked_rows_equal_the_per_row_calls():
@@ -263,16 +273,16 @@ def test_weights_of_stacked_rows_equal_the_per_row_calls():
     losses = rng.uniform(0.0, 5.0, size=(4, 9))
     labels = rng.integers(2, size=(4, 9))
     rho = np.array([1.25, 0.8])
-    stacked = closed_form_weights(losses, labels, rho, 0.7)
-    scaled = scale_to_budgets(losses.copy(), labels, rho)
-    shared = closed_form_weights(losses, labels[0], rho, 0.7)
+    stacked = _weights(losses, labels, rho, 0.7)
+    scaled = _scaled(losses.copy(), labels, rho)
+    shared = _weights(losses, labels[0], rho, 0.7)
     for r in range(4):
-        assert np.array_equal(stacked[r], closed_form_weights(losses[r], labels[r], rho, 0.7))
-        assert np.array_equal(scaled[r], scale_to_budgets(losses[r].copy(), labels[r], rho))
-        assert np.array_equal(shared[r], closed_form_weights(losses[r], labels[0], rho, 0.7))
+        assert np.array_equal(stacked[r], _weights(losses[r], labels[r], rho, 0.7))
+        assert np.array_equal(scaled[r], _scaled(losses[r].copy(), labels[r], rho))
+        assert np.array_equal(shared[r], _weights(losses[r], labels[0], rho, 0.7))
     losses[2] = 0.0
     with pytest.raises(ValueError) as err:
-        scale_to_budgets(losses, labels, rho)
+        _scaled(losses, labels, rho)
     assert err.value.bad.tolist() == [False, False, True, False]
 
 
@@ -284,8 +294,8 @@ def test_closed_form_weights_ignore_a_per_class_loss_shift(problem, alpha, shift
     c = labels[pick % labels.size]
     shifted = np.where(labels == c, losses + shift, losses)
     np.testing.assert_allclose(
-        closed_form_weights(shifted, labels, rho, alpha),
-        closed_form_weights(losses, labels, rho, alpha),
+        _weights(shifted, labels, rho, alpha),
+        _weights(losses, labels, rho, alpha),
         rtol=1e-12, atol=0,
     )
 
@@ -296,8 +306,8 @@ def test_scale_to_budgets_is_idempotent(problem, data):
     _, labels, rho = problem
     omega = np.array(data.draw(st.lists(st.floats(0.01, 10.0), min_size=labels.size,
                                         max_size=labels.size)))
-    once = scale_to_budgets(omega.copy(), labels, rho)
-    twice = scale_to_budgets(once.copy(), labels, rho)
+    once = _scaled(omega.copy(), labels, rho)
+    twice = _scaled(once.copy(), labels, rho)
     np.testing.assert_allclose(twice, once, rtol=1e-12, atol=0)
 
 
@@ -319,5 +329,5 @@ def test_weights_of_logistic_losses_are_the_theory_weights_at_b_one_over_alpha(z
     for c in np.unique(labels):
         sel = labels == c
         expected[sel] = rho[c] * sel.sum() * power[sel] / power[sel].sum()
-    np.testing.assert_allclose(closed_form_weights(losses, labels, rho, alpha), expected,
+    np.testing.assert_allclose(_weights(losses, labels, rho, alpha), expected,
                                rtol=1e-9, atol=0)

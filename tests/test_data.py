@@ -20,8 +20,6 @@ from drfit.data import (
     load_mnist_idx,
     pool2x2,
     prepare_ones_vs_sevens,
-    rho_from_rates,
-    rho_from_validation,
     save_dataset_csv,
     stratified_split,
     synthetic_gaussian_2class,
@@ -246,55 +244,22 @@ def test_noise_spec_validation():
 
 
 def test_rho_from_rates_balanced_thirty_ten():
-    rho = rho_from_rates((1000, 1000), (0.3, 0.1))
+    rho = estimate_rho((1000, 1000), (0.3, 0.1))
     assert abs(rho[0] - 1.25) < 1e-10
     assert abs(rho[1] - 5.0 / 6.0) < 1e-10
 
 
 def test_rho_symmetric_rates_give_unity():
-    rho = rho_from_rates((500, 500), (0.2, 0.2))
+    rho = estimate_rho((500, 500), (0.2, 0.2))
     assert np.allclose(rho, 1.0, atol=1e-12)
 
 
-def test_rho_from_validation_matches_rates_on_exact_table():
-    """A confusion table built from the exact flip counts reproduces the
-    rates-based budgets."""
-    n0, n1 = 1000, 1000
-    q0, q1 = 0.3, 0.1
-    table = np.array(
-        [
-            [n0 * (1 - q0), n0 * q0],
-            [n1 * q1, n1 * (1 - q1)],
-        ]
-    )
-    rho_v = rho_from_validation(table)
-    rho_r = rho_from_rates((n0, n1), (q0, q1))
-    assert np.allclose(rho_v, rho_r, atol=1e-12)
-
-
-def test_rho_from_sampled_confusion_converges():
-    ds = _balanced_ds(10_000, seed=9)
-    noisy = inject_label_noise(ds, NoiseSpec(rates=(0.3, 0.1), seed=9))
-    table = np.zeros((2, 2))
-    for t, o in zip(noisy.true_labels, noisy.labels):
-        table[t, o] += 1
-    rho_v = rho_from_validation(table)
-    rho_r = rho_from_rates((10_000, 10_000), (0.3, 0.1))
-    assert np.allclose(rho_v, rho_r, atol=0.02)
-
-
 def test_estimate_rho_dispatch():
-    assert np.allclose(estimate_rho(class_sizes=(10, 10), appendix_mode=True), 1.0)
-    with pytest.raises(DataError):
-        estimate_rho()
-    with pytest.raises(DataError):
-        estimate_rho(class_sizes=(10, 10))
-    with pytest.raises(DataError):
-        estimate_rho(
-            class_sizes=(10, 10), flip_rates=(0.1, 0.1), confusion=np.eye(2)
-        )
-    rho = estimate_rho(class_sizes=(1000, 1000), flip_rates=(0.3, 0.1))
-    assert abs(rho[0] - 1.25) < 1e-10
+    """One size per flip rate, and a rate of 1 leaves no budget."""
+    with pytest.raises(DataError, match="must align"):
+        estimate_rho((10, 10), (0.1, 0.1, 0.1))
+    with pytest.raises(ZeroDivisionError):
+        estimate_rho((10, 10), (1.0, 0.1))
 
 
 # ---------------------------------------------------------------------------

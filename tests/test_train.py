@@ -11,8 +11,8 @@ import drfit.train as train_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drfit.core import (ConfigError, DrFitConfig, analytic_weights, closed_form_weights,
-                        reduced_loss, scale_to_budgets)
+from drfit.core import (ConfigError, DrFitConfig, analytic_weights, class_members,
+                        member_weights, reduced_loss, scale_members)
 from drfit.data import LabeledDataset, NoiseSpec, inject_label_noise, synthetic_gaussian_2class
 from drfit.nn import init_params, mlp_forward, per_example_loss, weighted_backward
 from drfit.train import (
@@ -380,8 +380,9 @@ def _batch_by_batch(ds, dr, tr, net):
     for epoch in range(1, tr.epochs + 1):
         for subset in _stratified_batches(classes, tr.batch_size, rng):
             x, y = ds.features[subset], ds.labels[subset]
+            member, count = class_members(y, rho.size)
             cache = mlp_forward(params, x)
-            w = (closed_form_weights(per_example_loss(cache, y), y, rho, dr.alpha)
+            w = (member_weights(per_example_loss(cache, y), member, count, rho, dr.alpha)
                  if tr.solver == "analytic" else omega[subset])
             grad = weighted_backward(params, cache, y, w, dr.lam)
             params = params.unflatten(params.flatten() - tr.theta_lr * grad).copy()
@@ -389,7 +390,7 @@ def _batch_by_batch(ds, dr, tr, net):
                 fresh = per_example_loss(mlp_forward(params, x), y)
                 prev = omega[subset]
                 w = prev - tr.omega_lr * (fresh + dr.alpha * np.log(np.maximum(prev, 1e-8)))
-                omega[subset] = scale_to_budgets(np.maximum(w, 0.0), y, rho)
+                omega[subset] = scale_members(np.maximum(w, 0.0), member, count, rho)
         losses.append(float(per_example_loss(mlp_forward(params, ds.features), ds.labels).mean()))
     if tr.solver == "analytic":
         omega = analytic_weights(per_example_loss(mlp_forward(params, ds.features), ds.labels),
