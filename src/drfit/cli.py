@@ -386,9 +386,19 @@ def _write_detection(out: Path, omega, mask, bins: int = 50) -> None:
 
 
 def _read_omega_csv(path) -> np.ndarray:
+    """The weights of a run's omega.csv; a row that is not an index and a
+    numeric weight is a DataError naming the file and the line."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    return np.array([float(r[1]) for r in rows])
+    omega = []
+    for line, r in enumerate(rows, start=2):
+        try:
+            if len(r) != 2:
+                raise ValueError(f"{len(r)} cells for 2 columns")
+            omega.append(float(r[1]))
+        except ValueError as exc:
+            raise DataError(f"{path}, line {line}: {exc}") from None
+    return np.array(omega)
 
 
 def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:

@@ -324,14 +324,16 @@ def save_dataset_csv(ds: LabeledDataset, path) -> None:
 
 
 def load_dataset_csv(path) -> LabeledDataset:
-    """Read a save_dataset_csv snapshot. An empty file, a missing label
-    column, and a row that is short, long or not numeric are DataErrors
-    naming the file, and the line of a bad row."""
+    """Read a save_dataset_csv snapshot. An empty file, a header without
+    rows, a missing label column, and a row that is short, long or not
+    numeric are DataErrors naming the file, and the line of a bad row."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DataError(f"{path}: empty snapshot, no header")
     header, rows = rows[0], rows[1:]
+    if not rows:
+        raise DataError(f"{path}: snapshot has a header and no rows")
     if "label" not in header:
         raise DataError(f"{path}: snapshot is missing the label column")
     d = header.index("label")

@@ -14,6 +14,9 @@ import numpy as np
 # OpenBLAS runs a product of at most 2**18 multiply-adds on one thread; larger
 # ones wake worker threads that then spin through the steps' small products
 _ONE_THREAD_MACS = 2**18
+# train reduces its epoch-end metrics once per block of epochs, as many as keep
+# each stacked activation array of the block's evaluation within this many floats
+_BLOCK_FLOATS = 2**15
 
 
 class ShapeError(ValueError):

@@ -27,8 +27,8 @@ import numpy as np
 from .core import (BudgetError, ConfigError, analytic_weights, class_members, member_weights,
                    scale_members)
 from .data import LabeledDataset
-from .nn import (MlpParams, NumericError, label_signs, mlp_forward, per_example_loss,
-                 weighted_backward)
+from .nn import (_BLOCK_FLOATS, MlpParams, NumericError, label_signs, mlp_forward,
+                 per_example_loss, weighted_backward)
 
 _LOG_CLAMP = 1e-8
 
@@ -133,7 +133,11 @@ def train(data, dr, tr, init, val=None, test=None):
     the per-epoch trace, a dict of (epochs,) arrays: train_loss, train_acc and,
     for the sets given, val_acc and test_acc; or raises TrainingError. For a
     list, returns one such triple or TrainingError per net; a failed net leaves
-    the stack, and the others go on exactly as they would without it."""
+    the stack, and the others go on exactly as they would without it.
+
+    The trace is reduced once per block of epochs, from the parameters and the
+    training pass saved at each epoch end; a net whose check fails there gets
+    the error of its first failing epoch, as a check after every epoch raises it."""
     if data.n == 0:
         raise ValueError("training data is empty")
     nets = [init] if isinstance(init, MlpParams) else list(init)
@@ -144,13 +148,21 @@ def train(data, dr, tr, init, val=None, test=None):
         raise ConfigError("class 0 has no examples")
     rho = dr.rho_for(len(classes))
     n_batches = max(1, math.ceil(labels.size / tr.batch_size))
+    # one batch holds every row in index order: its steps take the shared rows and
+    # a view of omega, not gathers
+    one = n_batches == 1
     # the widest batch dealing can make; padding every net's batches to it
     # keeps each net's arithmetic independent of the others in the stack
     width = sum(-(-ix.size // n_batches) for ix in classes)
     rngs = [np.random.default_rng(tr.seed + r) for r in range(len(nets))]
     results = [None] * len(nets)
+    sets = [ds for ds in (val, test) if ds is not None]
     names = [k for k, ds in zip(TRACE_COLUMNS, (data, data, val, test)) if ds is not None]
     history = np.zeros((len(names), len(nets), tr.epochs))
+    # epochs per block: the block's evaluation stacks its snapshots of every net,
+    # and each of its activation arrays holds at most _BLOCK_FLOATS floats
+    block = max(1, _BLOCK_FLOATS // (len(nets) * max(ds.n for ds in (data, *sets))
+                                      * max(w.shape[-1] for w in nets[0].weights)))
     # one row of flat per net; params are views of it, so one subtraction steps them all
     flat = np.stack([p.flatten() for p in nets])
     live, params, grad = np.arange(len(nets)), nets[0].unflatten(flat), np.empty_like(flat)
@@ -158,65 +170,114 @@ def train(data, dr, tr, init, val=None, test=None):
     # column n of omega stays 0: padded batch entries read and write it
     omega = np.tile(np.append(rho[labels], 0.0), (len(nets), 1))
     plan, epoch = (np.zeros((0, len(nets))),) * 6, 0
-    # (cache, losses) of a one-batch run's last pass over its batch (index order), kept
+    # (cache, losses) of a one-batch run's last pass over the training set, kept
     # until the parameters move: the next step, epoch end or final weights reuse it
     fresh = None
+    # the block's first epoch, its epochs so far, and their parameters, training
+    # losses and training scores
+    start, pending, saved = 1, 0, None
+
+    def drop(keep):
+        """Take the nets not kept out of the stack."""
+        nonlocal live, rows, flat, params, grad, omega, plan, fresh
+        if keep.all():
+            return
+        live, flat, omega = live[keep], flat[keep], omega[keep]
+        params, plan = params.unflatten(flat), tuple(a[:, keep] for a in plan)
+        rows, grad, fresh = np.arange(live.size)[:, None], np.empty_like(flat), None
+
+    def reduce():
+        """Write the block's epochs into history; returns the mask of the nets
+        whose checks all passed. The others get the error of their first failing
+        epoch: the training loss, then each layer of the validation and test passes."""
+        nonlocal pending
+        if not pending:
+            return np.ones(live.size, dtype=bool)
+        m, pending = pending, 0
+        snaps, losses, scores = (a[:m] for a in saved)
+        loss = losses.mean(axis=-1)
+        # each snapshot's first failing check, as an index into why (0: none)
+        why, fails = ["", "non-finite training loss"], (~np.isfinite(loss)).astype(int)
+        columns = [loss, _accuracy(scores, labels)]
+        every = params.unflatten(snaps.reshape(m * live.size, -1))  # every snapshot, stacked
+        for ds in sets:
+            acc = np.zeros_like(loss)
+            while (ok := fails == 0).any():  # a failure drops its snapshots from the pass
+                try:
+                    acc[ok] = evaluate(every if ok.all() else params.unflatten(snaps[ok]), ds)
+                    break
+                except NumericError as exc:
+                    fails[ok] = np.where(exc.bad, len(why), 0)
+                    why.append(str(exc))
+            columns.append(acc)
+        history[:, live, start - 1 : start - 1 + m] = np.stack(columns).swapaxes(1, 2)
+        failed = fails.any(axis=0)
+        for j in np.flatnonzero(failed):
+            e = int(fails[:, j].nonzero()[0][0])
+            results[live[j]] = TrainingError(f"training diverged: {why[fails[e, j]]}", start + e)
+        return ~failed
 
     def attempt(step):
-        """step() once it returns; each failure first drops the failed nets."""
-        nonlocal live, rows, flat, params, grad, omega, plan, fresh
+        """step() once it returns; each failure first reduces the block, whose
+        failures come first, then drops the failed nets."""
         while live.size:
             try:
                 return step()
             except (NumericError, BudgetError) as exc:
-                for r in live[exc.bad]:
+                keep = reduce()
+                for r in live[exc.bad & keep]:
                     results[r] = (RenormError(f"{exc} in a batch", epoch)
                                   if isinstance(exc, BudgetError)
                                   else TrainingError(f"training diverged: {exc}", epoch))
-                keep = ~exc.bad
-                live, flat, omega = live[keep], flat[keep], omega[keep]
-                params, plan = params.unflatten(flat), tuple(a[:, keep] for a in plan)
-                rows, grad, fresh = np.arange(live.size)[:, None], np.empty_like(flat), None
+                drop(keep & ~exc.bad)
+
+    def at(spot):
+        """Where a step's weights sit in omega: a one-batch run's are a view."""
+        return (slice(None), slice(labels.size)) if one else (rows, spot)
 
     def theta_step(k):
         nonlocal fresh
         ix, spot, lr, y, member, count = (a[k] for a in plan)
-        (cache, losses), fresh = fresh or (mlp_forward(params, features[ix]), None), None
+        x, y = (features, signs) if one else (features[ix], y)
+        (cache, losses), fresh = fresh or (mlp_forward(params, x), None), None
         omega_s = (member_weights(per_example_loss(cache, y) if losses is None else losses,
                                   member, count, rho, dr.alpha)
-                   if tr.solver == "analytic" else omega[rows, spot])
+                   if tr.solver == "analytic" else omega[at(spot)])
         g = weighted_backward(params, cache, y, omega_s, dr.lam, out=grad)
         np.subtract(flat, np.multiply(g, lr, out=g), out=flat)
 
     def omega_step(k):
         nonlocal fresh
         ix, spot, _, y, member, count = (a[k] for a in plan)
-        prev = omega[rows, spot]
-        cache = mlp_forward(params, features[ix])
+        x, y = (features, signs) if one else (features[ix], y)
+        prev = omega[at(spot)]
+        cache = mlp_forward(params, x)
         losses = per_example_loss(cache, y)
-        if n_batches == 1:
+        if one:
             fresh = cache, losses
         w = prev - tr.omega_lr * (losses + dr.alpha * np.log(np.maximum(prev, _LOG_CLAMP)))
         np.maximum(w, 0.0, out=w)
-        omega[rows, spot] = scale_members(w, member, count, rho)
+        omega[at(spot)] = scale_members(w, member, count, rho)
 
-    def epoch_end():
-        nonlocal fresh
-        one = n_batches == 1  # then pass over the batch the step gathers, and keep the pass
+    def record():
+        """The epoch's training pass; saves it and the parameters for the block."""
+        nonlocal fresh, start, pending, saved
         if fresh is None:
-            cache = mlp_forward(params, features[plan[0][0]] if one else features)
-            fresh = cache, per_example_loss(cache, plan[3][0] if one else signs)
+            cache = mlp_forward(params, features)
+            fresh = cache, per_example_loss(cache, signs)
         (cache, losses), fresh = fresh, fresh if one else None
-        loss = losses.mean(axis=-1)
-        if not np.isfinite(loss).all():
-            raise NumericError("non-finite training loss", ~np.isfinite(loss))
-        return [loss, _accuracy(cache.scores, labels),
-                *(evaluate(params, ds) for ds in (val, test) if ds is not None)]
+        if not pending:
+            start = epoch
+            saved = [np.empty((block, *a.shape)) for a in (flat, losses, cache.scores)]
+        for buf, a in zip(saved, (flat, losses, cache.scores)):
+            buf[pending] = a
+        pending += 1
+        return True
 
     for epoch in range(1, tr.epochs + 1):
         update_weights = (tr.solver == "numeric" and epoch > tr.burn_in
                           and epoch % tr.update_frequency == 0)
-        if epoch == 1 or n_batches > 1:  # one batch holds every example, in index order
+        if epoch == 1 or not one:
             idx, valid = _padded(
                 [_stratified_batches(classes, tr.batch_size, rngs[r]) for r in live], width)
             # a net without a batch at a step skips it, ridge term included
@@ -227,10 +288,10 @@ def train(data, dr, tr, init, val=None, test=None):
             attempt(lambda: theta_step(k))
             if update_weights:
                 attempt(lambda: omega_step(k))
-        columns = attempt(epoch_end)
-        if columns is None:
+        if attempt(record) and (pending == block or epoch == tr.epochs):
+            drop(reduce())
+        if not live.size:
             break
-        history[:, live, epoch - 1] = columns
 
     if tr.solver == "analytic":
         omega = attempt(lambda: analytic_weights(

@@ -621,7 +621,7 @@ def test_detect_without_both_label_groups_exits_3(tmp_path, capsys, flipped):
     _assert_detect_exits_3(run_dir, snapshot, capsys, str(snapshot), "flipped and clean")
 
 
-@pytest.mark.parametrize("kind", ["empty", "short-row", "non-numeric"])
+@pytest.mark.parametrize("kind", ["empty", "no-rows", "short-row", "non-numeric"])
 def test_detect_on_a_malformed_snapshot_exits_3(tmp_path, capsys, kind):
     run_training_experiment(_synth_cfg(tmp_path, replications=1), quiet=True)
     run_dir = next(Path(tmp_path).glob("*-seed*"))
@@ -629,6 +629,9 @@ def test_detect_on_a_malformed_snapshot_exits_3(tmp_path, capsys, kind):
     needles = []
     if kind == "empty":
         lines = []
+    elif kind == "no-rows":
+        lines = lines[:1]
+        needles = ["no rows"]
     elif kind == "short-row":
         lines[5] = lines[5].rsplit(",", 1)[0]
         needles = ["line 6"]
@@ -638,6 +641,20 @@ def test_detect_on_a_malformed_snapshot_exits_3(tmp_path, capsys, kind):
     snapshot = tmp_path / f"{kind}.csv"
     snapshot.write_text("".join(line + "\n" for line in lines))
     _assert_detect_exits_3(run_dir, snapshot, capsys, str(snapshot), *needles)
+
+
+@pytest.mark.parametrize("kind", ["short-row", "non-numeric"])
+def test_detect_on_a_malformed_omega_csv_exits_3(tmp_path, capsys, kind):
+    run_training_experiment(_synth_cfg(tmp_path, replications=1), quiet=True)
+    run_dir = next(Path(tmp_path).glob("*-seed*"))
+    omega = run_dir / "omega.csv"
+    lines = omega.read_text().splitlines()
+    if kind == "short-row":
+        lines[3] = lines[3].split(",")[0]
+    else:
+        lines[3] = lines[3].split(",")[0] + ",abc"
+    omega.write_text("".join(line + "\n" for line in lines))
+    _assert_detect_exits_3(run_dir, tmp_path / "train_snapshot.csv", capsys, str(omega), "line 4")
 
 
 def _mnist_cfg(root, subsample=2000):

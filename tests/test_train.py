@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -520,6 +521,116 @@ def test_a_hidden_layer_overflow_fails_at_its_epoch_and_leaves_the_others_alone(
         assert np.array_equal(p1.flatten(), p0.flatten())
         assert np.array_equal(w1, w0)
         _assert_same_trace(t1, t0)
+
+
+def _assert_as_alone(results, ds, dr, tr, nets, others, **sets):
+    """Nets `others` of a stacked run end bit for bit as their runs alone."""
+    for r in others:
+        (p1, w1, t1), (p0, w0, t0) = results[r], train(
+            ds, dr, dataclasses.replace(tr, seed=tr.seed + r), nets[r], **sets)
+        assert np.array_equal(p1.flatten(), p0.flatten())
+        assert np.array_equal(w1, w0)
+        _assert_same_trace(t1, t0)
+
+
+def _with_big_first_row(ds, value):
+    features = ds.features.copy()
+    features[0, 0] = value
+    return LabeledDataset(features, ds.labels)
+
+
+def test_a_validation_overflow_keeps_its_epoch_when_the_block_is_reduced_later():
+    """The epoch-end checks run once per block of epochs, here once for all
+    four: a net whose validation pass alone overflows, in epoch 1, still gets
+    the error a check after every epoch raises, and the others end bit for bit
+    as they end alone."""
+    ds, nets = _stack_setup()
+    val = _with_big_first_row(ds, 1e306)
+    nets[1].weights[0] *= 1e4
+    dr = DrFitConfig(alpha=0.5, lam=0.0, rho=(1.0, 1.0))
+    tr = TrainConfig(epochs=4, batch_size=16, theta_lr=0.05, seed=30, solver="analytic")
+    assert train_module._BLOCK_FLOATS // (3 * ds.n * 4) >= tr.epochs  # one block
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = train(ds, dr, tr, nets, val=val, test=ds)
+    assert isinstance(results[1], TrainingError) and results[1].epoch == 1
+    assert str(results[1]) == "training diverged: non-finite pre-activation at layer 0 (epoch 1)"
+    _assert_as_alone(results, ds, dr, tr, nets, (0, 2), val=val, test=ds)
+
+
+@pytest.mark.parametrize("solver", ["analytic", "numeric", "plain"])
+def test_a_training_loss_overflow_keeps_its_epoch_when_the_block_is_reduced_later(solver):
+    """Scores near the largest float are finite but their losses are not: a
+    net whose training loss overflows in epoch 1 gets that check's error and
+    epoch when its block is reduced after epoch 3, and the others end bit
+    for bit as they end alone."""
+    ds, _ = _stack_setup()
+    nets = [init_params([2, 1], seed=40 + r) for r in range(3)]
+    nets[1].weights[0][:] = [[1.5e308 / np.abs(ds.features[:, 0]).max()], [0.0]]
+    dr = DrFitConfig(alpha=0.5, lam=0.0, rho=(1.0, 1.0))
+    tr = TrainConfig(epochs=3, batch_size=16, theta_lr=0.05, burn_in=0, seed=30, solver=solver)
+    assert train_module._BLOCK_FLOATS // (3 * ds.n) >= tr.epochs  # one block
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = train(ds, dr, tr, nets, val=ds)
+    assert str(results[1]) == "training diverged: non-finite training loss (epoch 1)"
+    _assert_as_alone(results, ds, dr, tr, nets, (0, 2), val=ds)
+
+
+def test_a_deferred_failure_wins_over_a_later_step_failure_of_the_same_net():
+    """A net whose steps overflow in epoch 3 fails then; with a validation
+    row that overflows its epoch-1 pass it fails at epoch 1 instead, as a
+    check after every epoch makes it, although both fall in one block."""
+    ds = _toy_data(n=66, seed=21)
+    dr = DrFitConfig(alpha=0.5, lam=0.0, rho=(1.0, 1.0))
+    tr = TrainConfig(epochs=5, batch_size=16, theta_lr=0.05, seed=30, solver="analytic")
+    assert train_module._BLOCK_FLOATS // (3 * ds.n * 4) >= tr.epochs  # one block
+    nets = [init_params([2, 4, 4, 1], seed=40 + r) for r in range(3)]
+    nets[1].weights[1] *= 1e50
+    nets[1].weights[2] *= 1e-100
+    for val, epoch, layer in ((ds, 3, 1), (_with_big_first_row(ds, 1e300), 1, 0)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = train(ds, dr, tr, nets, val=val)
+        assert isinstance(results[1], TrainingError) and results[1].epoch == epoch
+        assert str(results[1]) == (f"training diverged: non-finite pre-activation "
+                                   f"at layer {layer} (epoch {epoch})")
+        _assert_as_alone(results, ds, dr, tr, nets, (0, 2), val=val)
+
+
+@pytest.mark.parametrize("batch_size", [16, 66], ids=["minibatch", "one-batch"])
+@pytest.mark.parametrize("solver", ["analytic", "numeric", "plain"])
+def test_stacked_runs_match_runs_alone_at_the_block_boundaries(monkeypatch, solver, batch_size):
+    """With a budget of three epochs per block for the 3-net stack (nine for a
+    net alone), runs that end one epoch before, at and after a block boundary,
+    and one epoch into the third block, give every net its run alone, trace
+    included, with validation and test sets of other sizes."""
+    ds, nets = _stack_setup()
+    val, test = _toy_data(n=30, seed=8), _toy_data(n=90, seed=9)
+    block = 3
+    monkeypatch.setattr(train_module, "_BLOCK_FLOATS", block * 3 * test.n * 4)
+    dr = DrFitConfig(alpha=0.5, lam=0.05, rho=(1.1, 0.9))
+    for epochs in (block - 1, block, block + 1, 2 * block + 1):
+        tr = TrainConfig(epochs=epochs, batch_size=batch_size, theta_lr=0.05, omega_lr=0.05,
+                         burn_in=1, seed=30, solver=solver)
+        results = train(ds, dr, tr, nets, val=val, test=test)
+        _assert_as_alone(results, ds, dr, tr, nets, range(3), val=val, test=test)
+        assert [t.shape for t in results[0][2].values()] == [(epochs,)] * 4
+
+
+def test_the_block_budget_bounds_the_memory_of_a_run():
+    """At the bench synthetic-numeric shapes (360/40/400 rows, one hidden
+    layer of 8) a run's traced peak stays under 1 MiB: about 0.7 MiB with
+    10 epochs per block, and 1.3 MiB with a budget of 2**16 floats (20)."""
+    train_ds, val, test = (_toy_data(n=n, seed=s) for n, s in ((360, 1), (40, 2), (400, 3)))
+    dr = DrFitConfig(alpha=0.35, lam=0.0, rho=(1.0, 1.0))
+    tr = TrainConfig(epochs=100, batch_size=360, theta_lr=0.001, omega_lr=0.02, burn_in=3,
+                     solver="numeric")
+    net = init_params([2, 8, 1], seed=0)
+    tracemalloc.start()
+    try:
+        train(train_ds, dr, tr, net, val=val, test=test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**10:.0f} KiB"
 
 
 def test_analytic_solver_without_a_class_0_example_fails_before_the_first_step(monkeypatch):
