@@ -48,6 +48,7 @@ from .metrics import crash_detector, detection_auc, separation_curve, weight_his
 
 DATA_ROOT_ENV = "DRFIT_DATA_ROOT"
 
+# the kinds that train nets, KINDS[:2], come first
 KINDS = (
     "mnist-1v7",
     "synthetic-train",
@@ -231,7 +232,7 @@ def validate_config(cfg: dict) -> dict:
         (t["alpha_step"] > 0, "theory.alpha_step must be positive"),
         (t["alpha_lo"] > 0, "theory.alpha_lo must be positive"),
         (t["alpha_lo"] <= t["alpha_hi"], "theory.alpha_lo must not exceed theory.alpha_hi"),
-        (sweep["train_kind"] in ("mnist-1v7", "synthetic-train"),
+        (sweep["train_kind"] in KINDS[:2],
          "sweep.train_kind must be mnist-1v7 or synthetic-train"),
     ):
         if not ok:
@@ -405,6 +406,8 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
     """Replication-many seeded runs plus aggregate CSVs. Returns the
     summary dictionary (also written to summary.json)."""
     cfg = validate_config(cfg)
+    if cfg["kind"] not in KINDS[:2]:
+        raise ConfigError(f"kind {cfg['kind']} does not train; training kinds are {KINDS[:2]}")
     base = TrainConfig(**cfg["train"])
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)

@@ -40,6 +40,11 @@ _IMAGE_MAGIC = 2051
 _LABEL_MAGIC = 2049
 
 
+def _first_non_finite(features: np.ndarray) -> int:
+    """The index of the first row of features that holds a nan or an infinity."""
+    return int(np.isfinite(features).all(axis=1).argmin())
+
+
 @dataclass
 class LabeledDataset:
     """Feature matrix with labels and, once noise is injected, the clean
@@ -55,6 +60,8 @@ class LabeledDataset:
         self.labels = np.asarray(self.labels, dtype=int)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
             raise DataError("features must be (n, d) with one label per row")
+        if not np.isfinite(self.features).all():  # training relies on finite inputs
+            raise DataError(f"row {_first_non_finite(self.features)} has a non-finite feature")
         if self.true_labels is not None:
             self.true_labels = np.asarray(self.true_labels, dtype=int)
             if self.true_labels.shape != self.labels.shape:
@@ -348,6 +355,9 @@ def load_dataset_csv(path) -> LabeledDataset:
             ints.append([int(r[j]) for j in cols])
         except ValueError as exc:
             raise DataError(f"{path}, line {line}: {exc}") from None
+    feats = np.array(feats)
+    if not np.isfinite(feats).all():
+        raise DataError(f"{path}, line {_first_non_finite(feats) + 2}: non-finite feature")
     columns = dict(zip(names, np.array(ints, dtype=int).reshape(-1, len(names)).T))
-    return LabeledDataset(np.array(feats), columns["label"], columns.get("true_label"),
+    return LabeledDataset(feats, columns["label"], columns.get("true_label"),
                           columns.get("mislabel"))

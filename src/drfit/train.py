@@ -132,12 +132,11 @@ def train(data, dr, tr, init, val=None, test=None):
     example; for the analytic solver the closed form at the final losses) and
     the per-epoch trace, a dict of (epochs,) arrays: train_loss, train_acc and,
     for the sets given, val_acc and test_acc; or raises TrainingError. For a
-    list, returns one such triple or TrainingError per net; a failed net leaves
-    the stack, and the others go on exactly as they would without it.
+    list, returns one such triple or TrainingError per net; a failed net stops
+    in place, and the others go on exactly as they would without it.
 
-    The trace is reduced once per block of epochs, from the parameters and the
-    training pass saved at each epoch end; a net whose check fails there gets
-    the error of its first failing epoch, as a check after every epoch raises it."""
+    The trace is reduced once per block of epochs; a net keeps the error of its
+    first failing epoch, as a check after every epoch raises it."""
     if data.n == 0:
         raise ValueError("training data is empty")
     nets = [init] if isinstance(init, MlpParams) else list(init)
@@ -148,14 +147,13 @@ def train(data, dr, tr, init, val=None, test=None):
         raise ConfigError("class 0 has no examples")
     rho = dr.rho_for(len(classes))
     n_batches = max(1, math.ceil(labels.size / tr.batch_size))
-    # one batch holds every row in index order: its steps take the shared rows and
-    # a view of omega, not gathers
+    # one batch holds every row in index order: its steps take the shared rows
     one = n_batches == 1
     # the widest batch dealing can make; padding every net's batches to it
     # keeps each net's arithmetic independent of the others in the stack
     width = sum(-(-ix.size // n_batches) for ix in classes)
     rngs = [np.random.default_rng(tr.seed + r) for r in range(len(nets))]
-    results = [None] * len(nets)
+    results = [None] * len(nets)  # None while a net trains, then its error
     sets = [ds for ds in (val, test) if ds is not None]
     names = [k for k, ds in zip(TRACE_COLUMNS, (data, data, val, test)) if ds is not None]
     history = np.zeros((len(names), len(nets), tr.epochs))
@@ -165,75 +163,74 @@ def train(data, dr, tr, init, val=None, test=None):
                                       * max(w.shape[-1] for w in nets[0].weights)))
     # one row of flat per net; params are views of it, so one subtraction steps them all
     flat = np.stack([p.flatten() for p in nets])
-    live, params, grad = np.arange(len(nets)), nets[0].unflatten(flat), np.empty_like(flat)
-    rows = live[:, None]
+    params, grad = nets[0].unflatten(flat), np.empty_like(flat)
+    # a one-batch run's steps read and write their weights as a view of omega, not gathers
+    rows = slice(None) if one else np.arange(len(nets))[:, None]
     # column n of omega stays 0: padded batch entries read and write it
     omega = np.tile(np.append(rho[labels], 0.0), (len(nets), 1))
-    plan, epoch = (np.zeros((0, len(nets))),) * 6, 0
+    # a block's epoch-end parameters, training losses and scores; snapshots stacks its parameters
+    saved = [np.empty((block, len(nets), k)) for k in (flat.shape[1], labels.size, labels.size)]
+    snapshots = params.unflatten(saved[0].reshape(block * len(nets), -1))
+    idx, valid = np.zeros((2, 0, len(nets), width), dtype=np.intp)  # no batches planned yet
     # (cache, losses) of a one-batch run's last pass over the training set, kept
     # until the parameters move: the next step, epoch end or final weights reuse it
-    fresh = None
-    # the block's first epoch, its epochs so far, and their parameters, training
-    # losses and training scores
-    start, pending, saved = 1, 0, None
+    fresh, epoch, pending = None, 0, 0
 
-    def drop(keep):
-        """Take the nets not kept out of the stack."""
-        nonlocal live, rows, flat, params, grad, omega, plan, fresh
-        if keep.all():
-            return
-        live, flat, omega = live[keep], flat[keep], omega[keep]
-        params, plan = params.unflatten(flat), tuple(a[:, keep] for a in plan)
-        rows, grad, fresh = np.arange(live.size)[:, None], np.empty_like(flat), None
+    def planned():
+        """The steps' rows, weight slots, step sizes, signs and class membership;
+        a net without a batch at a step skips it, ridge term included."""
+        return (idx, [slice(labels.size)] * len(idx) if one else np.where(valid, idx, labels.size),
+                np.where(valid.any(axis=-1, keepdims=True), tr.theta_lr, 0.0), signs[idx],
+                *class_members(labels[idx], rho.size, valid))
 
-    def reduce():
-        """Write the block's epochs into history; returns the mask of the nets
-        whose checks all passed. The others get the error of their first failing
-        epoch: the training loss, then each layer of the validation and test passes."""
-        nonlocal pending
-        if not pending:
-            return np.ones(live.size, dtype=bool)
-        m, pending = pending, 0
-        snaps, losses, scores = (a[:m] for a in saved)
-        loss = losses.mean(axis=-1)
-        # each snapshot's first failing check, as an index into why (0: none)
-        why, fails = ["", "non-finite training loss"], (~np.isfinite(loss)).astype(int)
-        columns = [loss, _accuracy(scores, labels)]
-        every = params.unflatten(snaps.reshape(m * live.size, -1))  # every snapshot, stacked
-        for ds in sets:
-            acc = np.zeros_like(loss)
-            while (ok := fails == 0).any():  # a failure drops its snapshots from the pass
-                try:
-                    acc[ok] = evaluate(every if ok.all() else params.unflatten(snaps[ok]), ds)
-                    break
-                except NumericError as exc:
-                    fails[ok] = np.where(exc.bad, len(why), 0)
-                    why.append(str(exc))
-            columns.append(acc)
-        history[:, live, start - 1 : start - 1 + m] = np.stack(columns).swapaxes(1, 2)
-        failed = fails.any(axis=0)
-        for j in np.flatnonzero(failed):
-            e = int(fails[:, j].nonzero()[0][0])
-            results[live[j]] = TrainingError(f"training diverged: {why[fails[e, j]]}", start + e)
-        return ~failed
+    def stop(errors):
+        """Stop each net of the (net, error) pairs in place; it keeps its earliest error."""
+        nonlocal plan, fresh
+        for r, err in errors:
+            if results[r] is None:
+                flat[r], valid[:, r], results[r] = 0.0, False, err
+            elif err.epoch < results[r].epoch:
+                results[r] = err
+        plan, fresh = planned(), None
 
     def attempt(step):
-        """step() once it returns; each failure first reduces the block, whose
-        failures come first, then drops the failed nets."""
-        while live.size:
+        """step() once it returns; a failure stops the live nets it names, or if none, raises."""
+        while True:
             try:
                 return step()
             except (NumericError, BudgetError) as exc:
-                keep = reduce()
-                for r in live[exc.bad & keep]:
-                    results[r] = (RenormError(f"{exc} in a batch", epoch)
-                                  if isinstance(exc, BudgetError)
-                                  else TrainingError(f"training diverged: {exc}", epoch))
-                drop(keep & ~exc.bad)
+                if not (hit := [r for r in np.flatnonzero(exc.bad) if results[r] is None]):
+                    raise
+                stop([(r, RenormError(f"{exc} in a batch", epoch) if isinstance(exc, BudgetError)
+                       else TrainingError(f"training diverged: {exc}", epoch)) for r in hit])
 
-    def at(spot):
-        """Where a step's weights sit in omega: a one-batch run's are a view."""
-        return (slice(None), slice(labels.size)) if one else (rows, spot)
+    def reduce():
+        """Write the block's epochs into history. A snapshot failing a check (the training
+        loss, then each layer of the validation and test passes) stops its net and is zeroed."""
+        nonlocal pending
+        m, pending = pending, 0
+        snaps, loss = saved[0][:m], saved[1][:m].mean(axis=-1)
+        every = snapshots if m == block else params.unflatten(snaps.reshape(m * len(nets), -1))
+        failed = ~np.isfinite(loss)
+
+        def fail(bad, why):
+            snaps[bad], failed[bad] = 0.0, True
+            stop([(r, TrainingError(f"training diverged: {why}", epoch - m + 1 + e))
+                  for e, r in zip(*bad.nonzero())])
+
+        if failed.any():
+            fail(failed, "non-finite training loss")
+        columns = [loss, _accuracy(saved[2][:m], labels)]
+        for ds in sets:
+            while True:
+                try:
+                    columns.append(evaluate(every, ds).reshape(m, -1))
+                    break
+                except NumericError as exc:
+                    if not (bad := exc.bad.reshape(m, -1) & ~failed).any():
+                        raise
+                    fail(bad, exc)
+        history[..., epoch - m : epoch] = np.stack(columns).swapaxes(1, 2)
 
     def theta_step(k):
         nonlocal fresh
@@ -242,7 +239,7 @@ def train(data, dr, tr, init, val=None, test=None):
         (cache, losses), fresh = fresh or (mlp_forward(params, x), None), None
         omega_s = (member_weights(per_example_loss(cache, y) if losses is None else losses,
                                   member, count, rho, dr.alpha)
-                   if tr.solver == "analytic" else omega[at(spot)])
+                   if tr.solver == "analytic" else omega[rows, spot])
         g = weighted_backward(params, cache, y, omega_s, dr.lam, out=grad)
         np.subtract(flat, np.multiply(g, lr, out=g), out=flat)
 
@@ -250,56 +247,49 @@ def train(data, dr, tr, init, val=None, test=None):
         nonlocal fresh
         ix, spot, _, y, member, count = (a[k] for a in plan)
         x, y = (features, signs) if one else (features[ix], y)
-        prev = omega[at(spot)]
+        prev = omega[rows, spot]
         cache = mlp_forward(params, x)
         losses = per_example_loss(cache, y)
         if one:
             fresh = cache, losses
         w = prev - tr.omega_lr * (losses + dr.alpha * np.log(np.maximum(prev, _LOG_CLAMP)))
         np.maximum(w, 0.0, out=w)
-        omega[at(spot)] = scale_members(w, member, count, rho)
+        omega[rows, spot] = scale_members(w, member, count, rho)
 
     def record():
         """The epoch's training pass; saves it and the parameters for the block."""
-        nonlocal fresh, start, pending, saved
+        nonlocal fresh, pending
         if fresh is None:
             cache = mlp_forward(params, features)
             fresh = cache, per_example_loss(cache, signs)
         (cache, losses), fresh = fresh, fresh if one else None
-        if not pending:
-            start = epoch
-            saved = [np.empty((block, *a.shape)) for a in (flat, losses, cache.scores)]
         for buf, a in zip(saved, (flat, losses, cache.scores)):
             buf[pending] = a
         pending += 1
-        return True
 
     for epoch in range(1, tr.epochs + 1):
         update_weights = (tr.solver == "numeric" and epoch > tr.burn_in
                           and epoch % tr.update_frequency == 0)
-        if epoch == 1 or not one:
-            idx, valid = _padded(
-                [_stratified_batches(classes, tr.batch_size, rngs[r]) for r in live], width)
-            # a net without a batch at a step skips it, ridge term included
-            plan = (idx, np.where(valid, idx, labels.size),
-                    np.where(valid.any(axis=-1, keepdims=True), tr.theta_lr, 0.0), signs[idx],
-                    *class_members(labels[idx], rho.size, valid))
+        if epoch == 1 or not one:  # a stopped net gets no batches
+            idx, valid = _padded([_stratified_batches(classes, tr.batch_size, rng)
+                                  if res is None else [] for rng, res in zip(rngs, results)], width)
+            plan = planned()
         for k in range(len(plan[0])):
             attempt(lambda: theta_step(k))
             if update_weights:
                 attempt(lambda: omega_step(k))
-        if attempt(record) and (pending == block or epoch == tr.epochs):
-            drop(reduce())
-        if not live.size:
+        attempt(record)
+        if pending == block or epoch == tr.epochs or None not in results:
+            reduce()
+        if None not in results:
             break
 
     if tr.solver == "analytic":
         omega = attempt(lambda: analytic_weights(
             fresh[1] if fresh else per_example_loss(mlp_forward(params, features), signs),
             labels, dr))
-    for j, r in enumerate(live):
-        results[r] = (params.unflatten(flat[j]).copy(), omega[j, : labels.size],
-                      dict(zip(names, history[:, r])))
+    results = [res or (params.unflatten(flat[r]).copy(), omega[r, : labels.size],
+                       dict(zip(names, history[:, r]))) for r, res in enumerate(results)]
     if isinstance(init, MlpParams) and isinstance(results[0], TrainingError):
         raise results[0]
     return results[0] if isinstance(init, MlpParams) else results

@@ -621,7 +621,7 @@ def test_detect_without_both_label_groups_exits_3(tmp_path, capsys, flipped):
     _assert_detect_exits_3(run_dir, snapshot, capsys, str(snapshot), "flipped and clean")
 
 
-@pytest.mark.parametrize("kind", ["empty", "no-rows", "short-row", "non-numeric"])
+@pytest.mark.parametrize("kind", ["empty", "no-rows", "short-row", "non-numeric", "non-finite"])
 def test_detect_on_a_malformed_snapshot_exits_3(tmp_path, capsys, kind):
     run_training_experiment(_synth_cfg(tmp_path, replications=1), quiet=True)
     run_dir = next(Path(tmp_path).glob("*-seed*"))
@@ -635,6 +635,9 @@ def test_detect_on_a_malformed_snapshot_exits_3(tmp_path, capsys, kind):
     elif kind == "short-row":
         lines[5] = lines[5].rsplit(",", 1)[0]
         needles = ["line 6"]
+    elif kind == "non-finite":
+        lines[4] = "nan" + lines[4][lines[4].index(","):]
+        needles = ["line 5", "non-finite feature"]
     else:
         lines[7] = "x" + lines[7]
         needles = ["line 8"]
@@ -779,6 +782,31 @@ def test_exit_codes():
         )
         == 3
     )
+
+
+def test_train_on_a_snapshot_with_a_non_finite_feature_exits_3(tmp_path, capsys):
+    """A nan feature in a snapshot is a data error naming its file and line,
+    not a run in which every replication diverges (exit 4)."""
+    run_training_experiment(_synth_cfg(tmp_path, replications=1), quiet=True)
+    lines = (tmp_path / "train_snapshot.csv").read_text().splitlines()
+    lines[9] = "nan" + lines[9][lines[9].index(","):]
+    snapshot = tmp_path / "nan.csv"
+    snapshot.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "run"
+    code = main(["train", "--kind", "mnist-1v7", "--set", f"data.snapshot={snapshot}",
+                 "--set", "train.epochs=1", "--output-dir", str(out)])
+    assert code == 3
+    assert f"data error: {snapshot}, line 10: non-finite feature" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["theory-1d", "theory-mv", "theory-counterexample",
+                                  "hyper-sweep"])
+def test_train_with_a_kind_that_does_not_train_exits_2_before_any_artifact(tmp_path, capsys,
+                                                                          kind):
+    out = tmp_path / "run"
+    assert main(["train", "--kind", kind, "--output-dir", str(out)]) == 2
+    assert not out.exists()
+    assert f"config error: kind {kind} does not train" in capsys.readouterr().err
 
 
 def test_exit_code_4_only_when_no_replication_finishes(tmp_path, capsys):

@@ -374,6 +374,11 @@ def test_dataset_invariant_checks():
             true_labels=np.array([0, 0]),
             mislabel_mask=np.array([False, False]),
         )
+    for value in (np.nan, np.inf, -np.inf):  # training relies on finite features
+        features = np.zeros((4, 2))
+        features[2, 1] = features[3, 0] = value
+        with pytest.raises(DataError, match="row 2 has a non-finite feature"):
+            LabeledDataset(features, np.array([0, 1, 0, 1]))
     ds = LabeledDataset(np.arange(6).reshape(3, 2), np.array([0, 1, 0]))
     sub = ds.subset([2, 0])
     assert np.array_equal(sub.labels, [0, 0])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from drfit.core import (ConfigError, DrFitConfig, analytic_weights, class_members,
                         member_weights, reduced_loss, scale_members)
 from drfit.data import LabeledDataset, NoiseSpec, inject_label_noise, synthetic_gaussian_2class
-from drfit.nn import init_params, mlp_forward, per_example_loss, weighted_backward
+from drfit.nn import NumericError, init_params, mlp_forward, per_example_loss, weighted_backward
 from drfit.train import (
     RenormError,
     TrainConfig,
@@ -578,7 +578,9 @@ def test_a_training_loss_overflow_keeps_its_epoch_when_the_block_is_reduced_late
 def test_a_deferred_failure_wins_over_a_later_step_failure_of_the_same_net():
     """A net whose steps overflow in epoch 3 fails then; with a validation
     row that overflows its epoch-1 pass it fails at epoch 1 instead, as a
-    check after every epoch makes it, although both fall in one block."""
+    check after every epoch makes it, although both fall in one block. So it
+    does alone, where its step failure stops the whole stack before the block
+    is reduced."""
     ds = _toy_data(n=66, seed=21)
     dr = DrFitConfig(alpha=0.5, lam=0.0, rho=(1.0, 1.0))
     tr = TrainConfig(epochs=5, batch_size=16, theta_lr=0.05, seed=30, solver="analytic")
@@ -593,6 +595,34 @@ def test_a_deferred_failure_wins_over_a_later_step_failure_of_the_same_net():
         assert str(results[1]) == (f"training diverged: non-finite pre-activation "
                                    f"at layer {layer} (epoch {epoch})")
         _assert_as_alone(results, ds, dr, tr, nets, (0, 2), val=val)
+        with pytest.raises(TrainingError) as alone, np.errstate(over="ignore", invalid="ignore"):
+            train(ds, dr, dataclasses.replace(tr, seed=31), nets[1], val=val)
+        assert alone.value.epoch == epoch and str(alone.value) == str(results[1])
+
+
+@pytest.mark.parametrize("where", ["train", "val"])
+def test_a_failure_naming_only_stopped_nets_is_raised_not_retried(monkeypatch, where):
+    """A stopped net's zero parameters give finite values on finite data, so a
+    failure that names only stopped nets (or failed snapshots) cannot pass on
+    a retry. Features made non-finite after the dataset's check make every net
+    fail and then fail again: the second failure is raised after a few passes,
+    and a guard on the pass count keeps a retry loop from hanging the suite."""
+    ds, nets = _stack_setup()
+    broken = LabeledDataset(ds.features.copy(), ds.labels)
+    broken.features[0, 0] = np.nan
+    forward, passes = train_module.mlp_forward, []
+
+    def counted(*args):
+        passes.append(args)
+        assert len(passes) <= 100, "a failure is retried"
+        return forward(*args)
+
+    monkeypatch.setattr(train_module, "mlp_forward", counted)
+    data, val = (broken, ds) if where == "train" else (ds, broken)
+    tr = TrainConfig(epochs=3, batch_size=16, theta_lr=0.05, seed=30)
+    with pytest.raises(NumericError, match="non-finite pre-activation at layer 0"):
+        train(data, DrFitConfig(alpha=0.5), tr, nets, val=val)
+    assert len(passes) <= 20
 
 
 @pytest.mark.parametrize("batch_size", [16, 66], ids=["minibatch", "one-batch"])
