@@ -105,30 +105,24 @@ _DEFAULTS = {
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-def _deep_update(base: dict, extra: dict) -> dict:
-    for k, v in extra.items():
-        if isinstance(v, dict) and isinstance(base.get(k), dict):
-            _deep_update(base[k], v)
-        else:
-            base[k] = v
-    return base
-
-
-def _undefined_key(extra: dict, defaults: dict, prefix: str = "") -> str | None:
-    """First dotted key of extra that the defaults tree does not define."""
+def _merge(cfg: dict, extra: dict, where: str, defaults: dict = _DEFAULTS, prefix: str = ""):
+    """Merge extra into cfg along the defaults tree, an object value into its
+    section; a key the defaults do not define, or an object aimed at a section
+    that is not one, is a ConfigError naming where."""
     for k, v in extra.items():
         if k not in defaults:
-            return prefix + k
+            raise ConfigError(f"unknown config key {prefix + k!r} in {where}")
         if isinstance(v, dict) and isinstance(defaults[k], dict):
-            bad = _undefined_key(v, defaults[k], f"{prefix}{k}.")
-            if bad is not None:
-                return bad
-    return None
+            if not isinstance(cfg[k], dict):
+                raise ConfigError(f"config key {prefix + k!r} is not an object, for {where}")
+            _merge(cfg[k], v, where, defaults[k], f"{prefix}{k}.")
+        else:
+            cfg[k] = v
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
-    """Defaults, then the JSON file, then each key=value override; a key
-    that the defaults do not define is a ConfigError."""
+    """Defaults, then the JSON file, then each key=value override, each
+    merged by _merge."""
     cfg = copy.deepcopy(_DEFAULTS)
     if path is not None:
         try:
@@ -140,45 +134,35 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError("config root must be a JSON object")
-        bad = _undefined_key(file_cfg, _DEFAULTS)
-        if bad is not None:
-            raise ConfigError(f"unknown config key {bad!r} in {path}")
-        _deep_update(cfg, file_cfg)
+        _merge(cfg, file_cfg, path)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
-        key, raw = item.split("=", 1)
+        key, value = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json.loads(value)
         except json.JSONDecodeError:
-            value = raw
-        parts = key.split(".")
-        nested = value
-        for p in reversed(parts):
-            nested = {p: nested}
-        bad = _undefined_key(nested, _DEFAULTS)
-        if bad is not None:
-            raise ConfigError(f"unknown config key {bad!r} in override {item!r}")
-        node = cfg
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override path {key!r} crosses a non-object")
-        # an object value merges into the section instead of replacing it
-        _deep_update(node, {parts[-1]: value})
+            pass
+        for p in reversed(key.split(".")):
+            value = {p: value}
+        _merge(cfg, value, f"override {item!r}")
     return cfg
 
 
 def _typed(value, default, key: str = ""):
-    """value converted to the type of its default: an object key by key, a
-    list item by item after the default's first item, a number by the
-    default's type (finite, and whole for an int key); a str default takes
-    a string, a None default a string or null."""
+    """value converted to the type of its default: an object key by key (a
+    key its default lacks is a ConfigError), a list item by item after the
+    default's first item, a number by the default's type (finite, and whole
+    for an int key); a str default takes a string, a None default a string
+    or null."""
     kind = type(default)
     if kind in (dict, list) and not isinstance(value, kind):
         raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}")
     if kind is dict:
-        return {k: _typed(v, default.get(k), f"{key}.{k}".lstrip(".")) for k, v in value.items()}
+        keys = {k: f"{key}.{k}".lstrip(".") for k in value}
+        if unknown := [keys[k] for k in value if k not in default]:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
+        return {k: _typed(v, default[k], keys[k]) for k, v in value.items()}
     if kind is list:
         return [_typed(v, default[0], key) for v in value]
     if kind not in (int, float):

@@ -284,10 +284,14 @@ def train(data, dr, tr, init, val=None, test=None):
         if None not in results:
             break
 
+    def final_weights():  # with no epochs, the training loss is checked only here
+        losses = fresh[1] if fresh else per_example_loss(mlp_forward(params, features), signs)
+        if not (finite := np.isfinite(losses.mean(axis=-1))).all():
+            raise NumericError("non-finite training loss", ~finite)
+        return analytic_weights(losses, labels, dr)
+
     if tr.solver == "analytic":
-        omega = attempt(lambda: analytic_weights(
-            fresh[1] if fresh else per_example_loss(mlp_forward(params, features), signs),
-            labels, dr))
+        omega = attempt(final_weights)
     results = [res or (params.unflatten(flat[r]).copy(), omega[r, : labels.size],
                        dict(zip(names, history[:, r]))) for r, res in enumerate(results)]
     if isinstance(init, MlpParams) and isinstance(results[0], TrainingError):

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -138,6 +139,52 @@ def test_object_override_merges_into_its_section():
         load_config(None, ['drfit={"alhpa": 0.5}'])
 
 
+@pytest.mark.parametrize("key, value", [("train.epoch", 50), ("theory.nodez", "64"),
+                                        ("data.hiden", [4]), ("outptu_dir", "elsewhere")])
+@pytest.mark.parametrize("kind", ["synthetic-train", "theory-1d", "theory-mv",
+                                  "theory-counterexample", "hyper-sweep"])
+def test_an_unknown_key_of_a_config_built_in_code_fails_before_any_directory(tmp_path, kind,
+                                                                            key, value):
+    """validate_config walks the defaults tree as load_config does, so a
+    runner given a dict with a key that no default defines rejects it."""
+    run = {"synthetic-train": run_training_experiment, "hyper-sweep": run_sweep}.get(
+        kind, cli.run_theory_report)
+    cfg = load_config(None, [f"kind={kind}"])
+    cfg["output_dir"] = str(tmp_path / "out")
+    *path, leaf = key.split(".")
+    node = cfg
+    for p in path:
+        node = node[p]
+    node[leaf] = value
+    with pytest.raises(ConfigError, match=f"^unknown config key {re.escape(repr(key))}$"):
+        run(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def _leaf_keys(tree, prefix=""):
+    for k, v in tree.items():
+        yield from _leaf_keys(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k]
+
+
+def test_every_default_key_is_in_the_readme_configuration_table():
+    """The README's configuration table names every leaf of the defaults, in
+    its `a.b` / `c` shorthand for keys of one section or a `theory.*`
+    wildcard, and names no key that the defaults lack."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    named = set()
+    for row in table.splitlines():
+        if row.startswith("| `"):
+            first, *rest = re.findall(r"`([^`]+)`", row.split("|")[1])
+            section = first.rpartition(".")[0]
+            named |= {first, *(f"{section}.{k}" for k in rest)}
+    wildcards = {k[:-1] for k in named if k.endswith(".*")}
+    leaves = set(_leaf_keys(cli._DEFAULTS))
+    assert sorted(k for k in leaves - named if not k.startswith(tuple(wildcards))) == []
+    assert sorted(named - leaves - {w + "*" for w in wildcards}) == []
+    assert all(any(k.startswith(w) for k in leaves) for w in wildcards)
+
+
 def test_bad_value_type_exits_2_before_any_artifact(tmp_path):
     for k, bad in enumerate(
         ["train.epochs=abc", "train.batch_size=[4]", "train.solver=magic",
@@ -215,14 +262,21 @@ def test_output_dir_must_be_a_string(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_section_given_as_a_non_object_exits_2(tmp_path):
-    for k, argv in enumerate(
-        [["train", "--set", "drfit=5"], ["train", "--set", "train=5"],
-         ["theory", "--kind", "theory-1d", "--set", "theory=[1]"]]
+def test_section_given_as_a_non_object_exits_2(tmp_path, capsys):
+    for k, (argv, message) in enumerate(
+        [(["train", "--set", "drfit=5"], "drfit must be a dict"),
+         (["train", "--set", "train=5"], "train must be a dict"),
+         (["theory", "--kind", "theory-1d", "--set", "theory=[1]"], "theory must be a dict"),
+         # a value aimed inside a section or key that is not an object
+         (["train", "--set", "data=5", "--set", "data.n=4"],
+          "config key 'data' is not an object, for override 'data.n=4'"),
+         (["train", "--set", "kind.x=1"], "kind must be one of"),
+         (["train", "--set", "data.mu.x=1"], "data.mu must be a list")]
     ):
         out = tmp_path / f"out{k}"
         assert main([*argv, "--output-dir", str(out)]) == 2, argv
         assert not out.exists(), argv
+        assert f"config error: {message}" in capsys.readouterr().err, argv
 
 
 def test_int_spelling_of_a_float_key_resolves_to_a_float(tmp_path):

@@ -144,6 +144,28 @@ def test_zero_epochs_returns_initial_state():
     assert np.allclose(weights, analytic_weights(losses, ds.labels, dr))
 
 
+def test_zero_epochs_with_an_overflowing_net_fails_that_net_alone():
+    """With no epochs the closed form at the initial losses is the only pass:
+    a net whose label-0 losses overflow fails at epoch 0, and the healthy net
+    beside it ends bit for bit as it ends alone."""
+    rng = np.random.default_rng(7)
+    ds = LabeledDataset(rng.normal(size=(40, 3)), np.arange(40) % 2)
+    ok, bad = init_params([3, 2, 1], 1), init_params([3, 2, 1], 2)
+    bad.biases[-1][:] = 1e308
+    dr = DrFitConfig(alpha=1.0)
+    tr = TrainConfig(epochs=0, batch_size=40, theta_lr=0.01)
+    with np.errstate(over="ignore"):
+        results = train(ds, dr, tr, [ok, bad])
+        with pytest.raises(TrainingError) as alone:
+            train(ds, dr, tr, bad)
+    assert str(results[1]) == str(alone.value) == (
+        "training diverged: non-finite training loss (epoch 0)")
+    assert results[1].epoch == alone.value.epoch == 0
+    (p1, w1, t1), (p0, w0, t0) = results[0], train(ds, dr, tr, ok)
+    assert np.array_equal(p1.flatten(), p0.flatten()) and np.array_equal(w1, w0)
+    _assert_same_trace(t1, t0)
+
+
 def test_full_batch_descent_is_monotone():
     """With the closed-form weights the step follows the collapsed loss's
     gradient, so a small full-batch step never increases it."""
