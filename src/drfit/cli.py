@@ -38,6 +38,7 @@ from .data import (
     load_mnist_idx,
     prepare_ones_vs_sevens,
     save_dataset_csv,
+    spd_cholesky,
     stratified_indices,
     stratified_split,
     synthetic_gaussian_2class,
@@ -55,7 +56,6 @@ KINDS = (
     "theory-1d",
     "theory-mv",
     "theory-counterexample",
-    "hyper-sweep",
 )
 
 _DEFAULTS = {
@@ -91,14 +91,9 @@ _DEFAULTS = {
         "var": 1.0,
         "mu": [1.0, 1.0],
         "cov": [[1.0, 0.3], [0.3, 1.0]],
-        "box1": [[-1.0, 3.0], [-2.0, 4.0]],
-        "box2": [[-1.0, 3.0], [-0.25, 1.25]],
-        "alpha_lo": 1.54,
-        "alpha_hi": 1.69,
-        "alpha_step": 0.01,
         "nodes": 64,
     },
-    "sweep": {"alpha_grid": [1.0, 2.0, 4.0], "lam_grid": [0.0], "train_kind": "synthetic-train"},
+    "sweep": {"alpha_grid": [1.0, 2.0, 4.0], "lam_grid": [0.0]},
 }
 
 
@@ -151,17 +146,19 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 def _typed(value, default, key: str = ""):
     """value converted to the type of its default: an object key by key (a
-    key its default lacks is a ConfigError), a list item by item after the
-    default's first item, a number by the default's type (finite, and whole
-    for an int key); a str default takes a string, a None default a string
-    or null."""
+    key its default lacks, or one it has and the value lacks, is a
+    ConfigError), a list item by item after the default's first item, a
+    number by the default's type (finite, and whole for an int key); a str
+    default takes a string, a None default a string or null."""
     kind = type(default)
     if kind in (dict, list) and not isinstance(value, kind):
         raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}")
     if kind is dict:
-        keys = {k: f"{key}.{k}".lstrip(".") for k in value}
+        keys = {k: f"{key}.{k}".lstrip(".") for k in {**default, **value}}
         if unknown := [keys[k] for k in value if k not in default]:
             raise ConfigError(f"unknown config key {unknown[0]!r}")
+        if missing := [keys[k] for k in default if k not in value]:
+            raise ConfigError(f"missing config key {missing[0]!r}")
         return {k: _typed(v, default[k], keys[k]) for k, v in value.items()}
     if kind is list:
         return [_typed(v, default[0], key) for v in value]
@@ -196,7 +193,7 @@ def validate_config(cfg: dict) -> dict:
         DrFitConfig(cfg["drfit"]["alpha"], cfg["drfit"]["lam"], rho if isinstance(rho, list) else None)
         [DrFitConfig(a, lam) for a in sweep["alpha_grid"] for lam in sweep["lam_grid"]]
         _noise_spec(cfg)
-        mu, cov = np.asarray(d["mu"]), np.asarray(d["cov"])
+        data_chol, theory_chol = spd_cholesky(d["cov"]), spd_cholesky(t["cov"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid setting: {exc}") from exc
     for ok, message in (
@@ -207,24 +204,20 @@ def validate_config(cfg: dict) -> dict:
          "drfit.rho must be 'auto', null or one positive number per noise rate"),
         (0 < d["val_fraction"] < 1, "data.val_fraction must lie in (0, 1)"),
         (d["n"] > 0 and d["n"] % 2 == 0, "data.n must be a positive even number"),
-        (cov.shape == (mu.size, mu.size), "data.cov must be square, one row per entry of data.mu"),
+        (data_chol is not None and len(data_chol) == len(d["mu"]),
+         "data.cov must be symmetric positive definite, one row per entry of data.mu"),
         (all(h >= 1 for h in d["hidden"]), "data.hidden widths must be at least 1"),
         (d["subsample"] >= 1, "data.subsample must be at least 1"),
         (t["nodes"] >= 32, "theory.nodes must be at least 32"),
         (0 <= t["q"] < 0.5, "theory.q must lie in [0, 0.5)"),
+        (t["mean"] > 0, "theory.mean must be positive"),
         (t["var"] > 0, "theory.var must be positive"),
-        (t["alpha_step"] > 0, "theory.alpha_step must be positive"),
-        (t["alpha_lo"] > 0, "theory.alpha_lo must be positive"),
-        (t["alpha_lo"] <= t["alpha_hi"], "theory.alpha_lo must not exceed theory.alpha_hi"),
-        (sweep["train_kind"] in KINDS[:2],
-         "sweep.train_kind must be mnist-1v7 or synthetic-train"),
+        (len(t["mu"]) == 2 and any(t["mu"]), "theory.mu must be two numbers, not both 0"),
+        (theory_chol is not None and len(theory_chol) == 2,
+         "theory.cov must be a symmetric positive definite 2x2 matrix"),
     ):
         if not ok:
             raise ConfigError(message)
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ConfigError("data.cov must be positive definite") from None
     return cfg
 
 
@@ -386,12 +379,18 @@ def _read_omega_csv(path) -> np.ndarray:
     return np.array(omega)
 
 
-def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
-    """Replication-many seeded runs plus aggregate CSVs. Returns the
-    summary dictionary (also written to summary.json)."""
+def _validate_training(cfg: dict) -> dict:
+    """validate_config's result, for a kind that trains nets."""
     cfg = validate_config(cfg)
     if cfg["kind"] not in KINDS[:2]:
         raise ConfigError(f"kind {cfg['kind']} does not train; training kinds are {KINDS[:2]}")
+    return cfg
+
+
+def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
+    """Replication-many seeded runs plus aggregate CSVs. Returns the
+    summary dictionary (also written to summary.json)."""
+    cfg = _validate_training(cfg)
     base = TrainConfig(**cfg["train"])
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -583,9 +582,11 @@ def _report_theory_mv(cfg: dict) -> list[dict]:
     except theory.OptimisationError as exc:
         entries.append(_entry("gaussian_case", None, target=str(exc), passed=False))
 
-    for name, target_ratio, target_b in (("box1", 0.064, 0.54), ("box2", 0.046, None)):
-        box = theory.MvUniformBox(tuple(tuple(iv) for iv in t[name]))
-        prob = theory.PopulationProblem(box, q=q, nodes=nodes)
+    # each box beside the ratio and b* it is checked against, both computed at q = 0.2
+    for name, box, target_ratio, target_b in (
+            ("box1", ((-1.0, 3.0), (-2.0, 4.0)), 0.064, 0.54),
+            ("box2", ((-1.0, 3.0), (-0.25, 1.25)), 0.046, None)):
+        prob = theory.PopulationProblem(theory.MvUniformBox(box), q=0.2, nodes=nodes)
         try:
             res = theory.find_mv_bstar(prob, tol=2e-3)
         except theory.OptimisationError as exc:
@@ -607,42 +608,31 @@ def _report_theory_mv(cfg: dict) -> list[dict]:
     return entries
 
 
-def counterexample_problem(q: float = 0.2, nodes: int = 64) -> theory.PopulationProblem:
-    """Two-atom class 0 against a three-atom class 1 with a heavy far atom."""
+def counterexample_problem(q: float = 0.2) -> theory.PopulationProblem:
+    """Two-atom class 0 against a three-atom class 1 with a heavy far atom;
+    atoms are summed exactly, so no node count reaches a result."""
     from . import theory
 
     dist1 = theory.Discrete((-1.0, 1.0, 10.0), (0.1, 0.1, 0.8))
     dist0 = theory.Discrete((-1.0, 1.0), (0.5, 0.5))
-    return theory.PopulationProblem(dist1, dist0=dist0, q=q, nodes=nodes)
+    return theory.PopulationProblem(dist1, dist0=dist0, q=q)
 
 
-def _report_theory_counterexample(cfg: dict) -> list[dict]:
+def _report_theory_counterexample() -> list[dict]:
     from . import theory
 
-    t = cfg["theory"]
-    lo, hi, step = t["alpha_lo"], t["alpha_hi"], t["alpha_step"]
-    alphas = np.arange(lo, hi + step / 2, step)
-    prob = counterexample_problem(q=t["q"], nodes=t["nodes"])
-    report = theory.discontinuity_scan(prob, alphas)
-    entries = [
+    # the jump target, 1.62 +- 0.02, and the grid of alphas around it, both at q = 0.2
+    jump, lo, hi, step = 1.62, 1.54, 1.69, 0.01
+    report = theory.discontinuity_scan(counterexample_problem(), np.arange(lo, hi + step / 2, step))
+    found = report.jump_alpha
+    return [
         _entry("alpha_grid", f"[{lo}, {hi}] step {step}"),
-        _entry(
-            "max_local_maxima",
-            report.max_local_maxima,
-            target=">= 2",
-            passed=report.max_local_maxima >= 2,
-        ),
-        _entry(
-            "jump_alpha",
-            report.jump_alpha,
-            target=1.62,
-            tol=0.02,
-            passed=report.jump_alpha is not None and abs(report.jump_alpha - 1.62) <= 0.02,
-        ),
+        _entry("max_local_maxima", report.max_local_maxima, target=">= 2",
+               passed=report.max_local_maxima >= 2),
+        _entry("jump_alpha", found, target=jump, tol=0.02,
+               passed=found is not None and abs(found - jump) <= 0.02),
+        *(_entry(f"argmax_alpha_{e.alpha:.4g}", e.argmax) for e in report.entries),
     ]
-    for e in report.entries:
-        entries.append(_entry(f"argmax_alpha_{e.alpha:.4g}", e.argmax))
-    return entries
 
 
 def run_theory_report(cfg: dict) -> list[dict]:
@@ -653,7 +643,7 @@ def run_theory_report(cfg: dict) -> list[dict]:
     elif kind == "theory-mv":
         entries = _report_theory_mv(cfg)
     elif kind == "theory-counterexample":
-        entries = _report_theory_counterexample(cfg)
+        entries = _report_theory_counterexample()
     else:
         raise ConfigError(f"kind {kind} is not a theory scenario")
     out = Path(cfg["output_dir"])
@@ -676,19 +666,17 @@ def run_theory_report(cfg: dict) -> list[dict]:
 # hyperparameter sweep
 
 def run_sweep(cfg: dict) -> dict:
-    cfg = validate_config(cfg)
+    cfg = _validate_training(cfg)
     alphas = cfg["sweep"]["alpha_grid"]
     lams = cfg["sweep"]["lam_grid"]
     if not alphas or not lams:
         raise ConfigError("sweep grids must be nonempty")
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    base_kind = cfg["sweep"]["train_kind"]
     rows, best = [], None
     for alpha in alphas:
         for lam in lams:
             sub = copy.deepcopy(cfg)
-            sub["kind"] = base_kind
             sub["drfit"]["alpha"] = alpha
             sub["drfit"]["lam"] = lam
             sub["output_dir"] = str(out / f"alpha{alpha}-lam{lam}")
@@ -751,6 +739,8 @@ def run_detect(run_dir: str, snapshot: str, bins: int = 50) -> dict:
 
 def run_mnist_prep(cfg: dict, out_path: str) -> None:
     cfg = validate_config(cfg)
+    if cfg["kind"] != "mnist-1v7":
+        raise ConfigError(f"mnist-prep reads MNIST, kind mnist-1v7, not kind {cfg['kind']}")
     noisy = _noisy_mnist_train(cfg, data_root(cfg), _noise_spec(cfg))
     with _replacing(out_path) as tmp:
         save_dataset_csv(noisy, tmp)
@@ -775,12 +765,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", help="shorthand for --set kind=...")
 
 
+# the kind a command runs when neither --kind nor the config names one
+_DEFAULT_KINDS = {"train": "synthetic-train", "sweep": "synthetic-train", "mnist-prep": "mnist-1v7"}
+
+
 def _resolved(args) -> dict:
     cfg = load_config(args.config, args.overrides)
-    if getattr(args, "output_dir", None):
+    if args.output_dir:
         cfg["output_dir"] = args.output_dir
-    if getattr(args, "kind", None):
+    if args.kind:
         cfg["kind"] = args.kind
+    if cfg["kind"] is None:
+        cfg["kind"] = _DEFAULT_KINDS.get(args.command)
     return cfg
 
 
@@ -812,10 +808,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "train":
-            cfg = _resolved(args)
-            if cfg.get("kind") is None:
-                cfg["kind"] = "synthetic-train"
-            summary = run_training_experiment(cfg)
+            summary = run_training_experiment(_resolved(args))
             if summary["runs"] == 0:
                 print(f"training error: all {summary['failures']} replications failed",
                       file=sys.stderr)
@@ -823,9 +816,7 @@ def main(argv=None) -> int:
         elif args.command == "theory":
             run_theory_report(_resolved(args))
         elif args.command == "sweep":
-            cfg = _resolved(args)
-            cfg["kind"] = "hyper-sweep"
-            result = run_sweep(cfg)
+            result = run_sweep(_resolved(args))
             if all(row["runs"] == 0 for row in result["table"]):
                 print("training error: no grid point finished a replication",
                       file=sys.stderr)
@@ -833,10 +824,7 @@ def main(argv=None) -> int:
         elif args.command == "detect":
             run_detect(args.run_dir, args.snapshot, args.bins)
         elif args.command == "mnist-prep":
-            cfg = _resolved(args)
-            if cfg.get("kind") is None:
-                cfg["kind"] = "mnist-1v7"
-            run_mnist_prep(cfg, args.out)
+            run_mnist_prep(_resolved(args), args.out)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

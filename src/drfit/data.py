@@ -249,6 +249,19 @@ def estimate_rho(class_sizes, flip_rates) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # synthetic data
 
+def spd_cholesky(cov) -> np.ndarray | None:
+    """The lower Cholesky factor of cov if it is a symmetric (to np.allclose)
+    positive definite matrix, else None: the one covariance test of the
+    synthetic data, the config checks and theory.MvGaussian."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not np.allclose(cov, cov.T):
+        return None
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def synthetic_gaussian_2class(n: int, mu, cov, seed: int = 0) -> LabeledDataset:
     """n/2 draws from N(mu, cov) labelled 1 and n/2 from N(-mu, cov)
     labelled 0, the class-0 half generated as the negation of an
@@ -256,11 +269,9 @@ def synthetic_gaussian_2class(n: int, mu, cov, seed: int = 0) -> LabeledDataset:
     if n <= 0 or n % 2:
         raise DataError("n must be a positive even number")
     mu = np.asarray(mu, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise DataError("covariance must be positive definite") from None
+    chol = spd_cholesky(cov)
+    if chol is None or len(chol) != mu.size:
+        raise DataError("covariance must be symmetric positive definite, one row per entry of mu")
     rng = np.random.default_rng(seed)
     half = n // 2
     x1 = mu + rng.standard_normal((half, mu.size)) @ chol.T

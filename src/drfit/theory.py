@@ -31,6 +31,8 @@ from functools import cache, lru_cache
 import numpy as np
 from scipy import optimize, special
 
+from .data import spd_cholesky
+
 
 class HypothesisViolation(RuntimeError):
     """A driver was asked to verify a statement whose premises fail."""
@@ -41,9 +43,7 @@ class DivergenceError(RuntimeError):
 
 
 class OptimisationError(RuntimeError):
-    def __init__(self, msg, best=None):
-        super().__init__(msg)
-        self.best = best
+    pass
 
 
 DIVERGENT = math.inf
@@ -87,12 +87,8 @@ class MvGaussian:
     def __post_init__(self):
         m = np.asarray(self.mean, dtype=float)
         c = np.asarray(self.cov, dtype=float)
-        if c.shape != (m.size, m.size) or not np.allclose(c, c.T):
-            raise ValueError("covariance must be square and symmetric")
-        try:
-            np.linalg.cholesky(c)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance must be positive definite") from None
+        if c.shape != (m.size, m.size) or spd_cholesky(c) is None:
+            raise ValueError("covariance must be symmetric positive definite, matching the mean")
         object.__setattr__(self, "mean", tuple(float(v) for v in m))
         object.__setattr__(self, "cov", tuple(tuple(float(v) for v in row) for row in c))
 
@@ -655,10 +651,9 @@ def _mv_maximise(prob: PopulationProblem, b: float, starts=None):
         if grad_norm < 1e-6:
             converged = True
     if best is None or float(np.linalg.norm(best)) > _BRACKET_CAP:
-        raise OptimisationError("no finite maximiser found", best=best)
+        raise OptimisationError("no finite maximiser found")
     if not converged:
-        raise OptimisationError("Newton ascent did not reach a stationary point",
-                                best=best)
+        raise OptimisationError("Newton ascent did not reach a stationary point")
     return best, nit, max_grad
 
 

@@ -124,8 +124,8 @@ def test_unknown_override_key_exits_2(tmp_path):
 
 
 def test_keys_read_by_the_runners_are_defined():
-    cfg = load_config(None, ["sweep.train_kind=mnist-1v7", "data.test_snapshot=x.csv"])
-    assert cfg["sweep"]["train_kind"] == "mnist-1v7"
+    cfg = load_config(None, ["sweep.lam_grid=[0.5]", "data.test_snapshot=x.csv"])
+    assert cfg["sweep"]["lam_grid"] == [0.5]
     assert cfg["data"]["test_snapshot"] == "x.csv"
 
 
@@ -139,16 +139,21 @@ def test_object_override_merges_into_its_section():
         load_config(None, ['drfit={"alhpa": 0.5}'])
 
 
+# every runner, with a kind it runs
+_RUNNERS = pytest.mark.parametrize("kind, runner", [
+    ("synthetic-train", "run_training_experiment"), ("synthetic-train", "run_sweep"),
+    *((k, "run_theory_report") for k in ("theory-1d", "theory-mv", "theory-counterexample")),
+])
+
+
 @pytest.mark.parametrize("key, value", [("train.epoch", 50), ("theory.nodez", "64"),
                                         ("data.hiden", [4]), ("outptu_dir", "elsewhere")])
-@pytest.mark.parametrize("kind", ["synthetic-train", "theory-1d", "theory-mv",
-                                  "theory-counterexample", "hyper-sweep"])
+@_RUNNERS
 def test_an_unknown_key_of_a_config_built_in_code_fails_before_any_directory(tmp_path, kind,
-                                                                            key, value):
+                                                                            runner, key, value):
     """validate_config walks the defaults tree as load_config does, so a
     runner given a dict with a key that no default defines rejects it."""
-    run = {"synthetic-train": run_training_experiment, "hyper-sweep": run_sweep}.get(
-        kind, cli.run_theory_report)
+    run = getattr(cli, runner)
     cfg = load_config(None, [f"kind={kind}"])
     cfg["output_dir"] = str(tmp_path / "out")
     *path, leaf = key.split(".")
@@ -161,6 +166,26 @@ def test_an_unknown_key_of_a_config_built_in_code_fails_before_any_directory(tmp
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["data", "theory.nodes"])
+@_RUNNERS
+def test_a_missing_key_of_a_config_built_in_code_fails_before_any_directory(tmp_path, kind,
+                                                                           runner, key):
+    """A runner given a dict that lacks a key the defaults define names the
+    first such key, in the defaults' order, instead of failing on a lookup."""
+    cfg = load_config(None, [f"kind={kind}"])
+    cfg["output_dir"] = str(tmp_path / "out")
+    *path, leaf = key.split(".")
+    node = cfg
+    for p in path:
+        node = node[p]
+    del node[leaf]
+    with pytest.raises(ConfigError, match=f"^missing config key {re.escape(repr(key))}$"):
+        getattr(cli, runner)(cfg)
+    with pytest.raises(ConfigError, match="^missing config key 'replications'$"):
+        getattr(cli, runner)({"kind": kind, "output_dir": str(tmp_path / "out")})
+    assert not (tmp_path / "out").exists()
+
+
 def _leaf_keys(tree, prefix=""):
     for k, v in tree.items():
         yield from _leaf_keys(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k]
@@ -168,8 +193,8 @@ def _leaf_keys(tree, prefix=""):
 
 def test_every_default_key_is_in_the_readme_configuration_table():
     """The README's configuration table names every leaf of the defaults, in
-    its `a.b` / `c` shorthand for keys of one section or a `theory.*`
-    wildcard, and names no key that the defaults lack."""
+    its `a.b` / `c` shorthand for keys of one section, and names no key that
+    the defaults lack."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     named = set()
@@ -178,11 +203,9 @@ def test_every_default_key_is_in_the_readme_configuration_table():
             first, *rest = re.findall(r"`([^`]+)`", row.split("|")[1])
             section = first.rpartition(".")[0]
             named |= {first, *(f"{section}.{k}" for k in rest)}
-    wildcards = {k[:-1] for k in named if k.endswith(".*")}
     leaves = set(_leaf_keys(cli._DEFAULTS))
-    assert sorted(k for k in leaves - named if not k.startswith(tuple(wildcards))) == []
-    assert sorted(named - leaves - {w + "*" for w in wildcards}) == []
-    assert all(any(k.startswith(w) for k in leaves) for w in wildcards)
+    assert sorted(leaves - named) == []
+    assert sorted(named - leaves) == []
 
 
 def test_bad_value_type_exits_2_before_any_artifact(tmp_path):
@@ -218,6 +241,8 @@ def test_out_of_range_value_exits_2_before_any_artifact(tmp_path):
     bad_values = [
         "noise.rates=[0.6,0.1]", "noise.rates=[0.1]", "data.val_fraction=1.5",
         "data.val_fraction=0", "data.n=-5", "data.n=7", "data.cov=[[1,2],[2,1]]",
+        # Cholesky reads the lower triangle alone, so a check on it would pass this one
+        "data.cov=[[1,0.3],[0.2,1]]",
         "data.mu=[1,1,1]", "data.cov=[[1,0],[0]]", "data.hidden=[0]",
         'drfit.rho=["x"]', "drfit.rho=[-1,1]", "drfit.rho=[0.5]", "drfit.rho=5",
         "drfit.rho=magic", "drfit.rho=[true,true]",
@@ -230,8 +255,7 @@ def test_out_of_range_value_exits_2_before_any_artifact(tmp_path):
         argv = ["train", "--output-dir", str(out), "--set", "train.epochs=1", "--set", bad]
         assert main(argv) == 2, bad
         assert not out.exists(), bad
-    for k, bad in enumerate(["data.n=7", "sweep.alpha_grid=[1,-1]", "sweep.lam_grid=[-0.5]",
-                             "sweep.train_kind=theory-1d"]):
+    for k, bad in enumerate(["data.n=7", "sweep.alpha_grid=[1,-1]", "sweep.lam_grid=[-0.5]"]):
         out = tmp_path / f"sweep{k}"
         assert main(["sweep", "--output-dir", str(out), "--set", bad]) == 2, bad
         assert not out.exists(), bad
@@ -241,10 +265,16 @@ def test_out_of_range_value_exits_2_before_any_artifact(tmp_path):
         argv = ["train", "--kind", "mnist-1v7", "--output-dir", str(out), "--set", bad]
         assert main(argv) == 2, bad
         assert not out.exists(), bad
-    for k, bad in enumerate(["theory.nodes=0", "theory.q=0.7", "theory.alpha_step=0",
-                             "theory.alpha_lo=-1", "theory.var=0", "theory.alpha_lo=2"]):
+    for k, (kind, bad) in enumerate([
+        ("theory-counterexample", "theory.nodes=0"), ("theory-1d", "theory.q=0.7"),
+        ("theory-1d", "theory.var=0"),
+        # each of these made its report raise, exit 1, after it had run
+        ("theory-1d", "theory.mean=-1"), ("theory-mv", "theory.cov=[[1,2],[2,1]]"),
+        ("theory-mv", "theory.cov=[[1,0.3],[0.2,1]]"), ("theory-mv", "theory.mu=[1,1,1]"),
+        ("theory-mv", "theory.mu=[0,0]"),
+    ]):
         out = tmp_path / f"theory{k}"
-        argv = ["theory", "--kind", "theory-counterexample", "--output-dir", str(out), "--set", bad]
+        argv = ["theory", "--kind", kind, "--output-dir", str(out), "--set", bad]
         assert main(argv) == 2, bad
         assert not out.exists(), bad
     # every subcommand checks the theory section, without importing drfit.theory
@@ -338,12 +368,14 @@ def _assert_typed_like(value, default):
 def test_validate_config_types_every_leaf_and_is_idempotent(overrides):
     cfg = load_config(None, ["kind=synthetic-train"])
     for (path, default), step, factor, flip in overrides:
-        node = cfg
-        for p in path[:-1]:
-            node = node[p]
-        # alpha_hi grows where every other float shrinks: alpha_lo <= alpha_hi
-        grow = path == ("theory", "alpha_hi")
-        node[path[-1]] = _respelled(default, step, 1 / factor if grow else factor, flip)
+        value = _respelled(default, step, factor, flip)
+        # a covariance entry moves with its mirror, so the matrix stays symmetric
+        mirror = (*path[:2], path[3], path[2]) if path[1:2] == ("cov",) else path
+        for p in {path, mirror}:
+            node = cfg
+            for k in p[:-1]:
+                node = node[k]
+            node[p[-1]] = value
     typed = validate_config(cfg)
     _assert_typed_like(typed, cli._DEFAULTS)
     assert json.dumps(validate_config(typed), sort_keys=True) == json.dumps(typed, sort_keys=True)
@@ -489,7 +521,6 @@ def test_sweep_matches_exhaustive_table_and_grid_order(tmp_path):
         "replications": "1",
     }
     cfg = _synth_cfg(tmp_path / "fwd", **base)
-    cfg["kind"] = "hyper-sweep"
     res = run_sweep(cfg)
     table = res["table"]
     viable = [r for r in table if not r["all_crashed"] and r["mean_val_acc"] is not None]
@@ -497,7 +528,6 @@ def test_sweep_matches_exhaustive_table_and_grid_order(tmp_path):
     assert res["best"] == expected
 
     cfg_rev = _synth_cfg(tmp_path / "rev", **dict(base, **{"sweep.alpha_grid": "[1.0,0.5]"}))
-    cfg_rev["kind"] = "hyper-sweep"
     res_rev = run_sweep(cfg_rev)
     assert res_rev["best"]["alpha"] == res["best"]["alpha"]
     acc = {r["alpha"]: r["mean_val_acc"] for r in table}
@@ -516,7 +546,6 @@ def test_sweep_ties_break_toward_larger_alpha(tmp_path):
             "train.solver": "plain",
         },
     )
-    cfg["kind"] = "hyper-sweep"
     res = run_sweep(cfg)
     accs = [r["mean_val_acc"] for r in res["table"]]
     assert accs[0] == accs[1]
@@ -531,7 +560,6 @@ def test_sweep_excludes_points_that_always_crash(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_training_experiment", fake_experiment)
     cfg = _synth_cfg(tmp_path, **{"sweep.alpha_grid": "[1.0,2.0]", "sweep.lam_grid": "[0.0]"})
-    cfg["kind"] = "hyper-sweep"
     res = run_sweep(cfg)
     assert res["best"]["alpha"] == 1.0
     crashed_row = next(r for r in res["table"] if r["alpha"] == 2.0)
@@ -789,29 +817,22 @@ def test_mnist_prep_snapshot_roundtrip(tmp_path):
     assert flips1 == round(0.1 * np.sum(ds.true_labels == 1))
 
 
-def test_sweep_trains_mnist_from_snapshots_with_a_test_set(tmp_path):
+def test_sweep_trains_the_mnist_kind_it_is_given_from_snapshots_with_a_test_set(tmp_path):
     root, _ = mnist_root()
     snaps = {"train": (tmp_path / "train.csv", "[0.3,0.1]"), "test": (tmp_path / "test.csv", "[0,0]")}
     for snap, rates in snaps.values():
         prep = ["mnist-prep", "--out", str(snap), "--set", f"data.root={root}"]
         prep += ["--set", "data.subsample=200", "--set", f"noise.rates={rates}"]
         assert main(prep) == 0
-    cfg = load_config(
-        None,
-        [
-            "kind=hyper-sweep",
-            "sweep.train_kind=mnist-1v7",
-            "sweep.alpha_grid=[1.0]",
-            f"data.snapshot={snaps['train'][0]}",
-            f"data.test_snapshot={snaps['test'][0]}",
-            "train.epochs=1",
-            f"output_dir={tmp_path / 'sweep'}",
-        ],
-    )
-    res = run_sweep(cfg)
-    assert res["table"][0]["runs"] == 1
+    sweep = ["sweep", "--kind", "mnist-1v7", "--output-dir", str(tmp_path / "sweep")]
+    for key, value in [("sweep.alpha_grid", "[1.0]"), ("data.snapshot", snaps["train"][0]),
+                       ("data.test_snapshot", snaps["test"][0]), ("train.epochs", 1)]:
+        sweep += ["--set", f"{key}={value}"]
+    assert main(sweep) == 0
     point = tmp_path / "sweep" / "alpha1.0-lam0.0"
     assert json.loads((point / "resolved_config.json").read_text())["kind"] == "mnist-1v7"
+    # the 200-row snapshot split 9:1, not the 400 synthetic rows
+    assert len((point / "train_snapshot.csv").read_text().splitlines()) == 1 + 180
     assert json.loads((point / "summary.json").read_text())["mean_final_test_acc"] is not None
 
 
@@ -853,14 +874,23 @@ def test_train_on_a_snapshot_with_a_non_finite_feature_exits_3(tmp_path, capsys)
     assert f"data error: {snapshot}, line 10: non-finite feature" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["theory-1d", "theory-mv", "theory-counterexample",
-                                  "hyper-sweep"])
-def test_train_with_a_kind_that_does_not_train_exits_2_before_any_artifact(tmp_path, capsys,
-                                                                          kind):
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("kind", ["theory-1d", "theory-mv", "theory-counterexample"])
+def test_a_kind_that_does_not_train_exits_2_before_any_artifact(tmp_path, capsys, command,
+                                                                 kind):
     out = tmp_path / "run"
-    assert main(["train", "--kind", kind, "--output-dir", str(out)]) == 2
+    assert main([command, "--kind", kind, "--output-dir", str(out)]) == 2
     assert not out.exists()
     assert f"config error: kind {kind} does not train" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["synthetic-train", "theory-mv"])
+def test_mnist_prep_with_another_kind_exits_2_before_reading_a_file(tmp_path, capsys, kind):
+    out = tmp_path / "snap.csv"
+    argv = ["mnist-prep", "--kind", kind, "--out", str(out), "--set", "data.root=/no/such/root"]
+    assert main(argv) == 2
+    assert not out.exists() and not any(tmp_path.iterdir())
+    assert f"not kind {kind}" in capsys.readouterr().err
 
 
 def test_exit_code_4_only_when_no_replication_finishes(tmp_path, capsys):

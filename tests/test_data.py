@@ -283,6 +283,17 @@ def test_synthetic_gaussian_shape_and_mirror():
         synthetic_gaussian_2class(401, mu, cov, seed=7)
 
 
+@pytest.mark.parametrize("cov", [
+    [[1.0, 0.3], [0.2, 1.0]],  # Cholesky reads the lower triangle alone
+    [[1.0, 2.0], [2.0, 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    [[1.0, 0.3]],
+], ids=["asymmetric", "indefinite", "one-row-too-many", "not-square"])
+def test_synthetic_gaussian_needs_a_symmetric_positive_definite_covariance(cov):
+    with pytest.raises(DataError, match="symmetric positive definite"):
+        synthetic_gaussian_2class(10, [1.0, 1.0], cov)
+
+
 # ---------------------------------------------------------------------------
 # splitting and csv snapshots
 
