@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -43,7 +44,7 @@ from .data import (
     stratified_split,
     synthetic_gaussian_2class,
 )
-from .nn import init_params
+from .nn import _ONE_THREAD_MACS, init_params
 from .train import TRACE_COLUMNS, TrainConfig, TrainingError, train
 from .metrics import crash_detector, detection_auc, separation_curve, weight_histogram
 
@@ -387,6 +388,68 @@ def _validate_training(cfg: dict) -> dict:
     return cfg
 
 
+def _train_shards(train_ds, dr, base: TrainConfig, layer_sizes, n: int, val, test) -> list:
+    """train's results for n nets, net r from init_params(layer_sizes, base.seed + r),
+    in net order. The nets are split into one contiguous shard per CPU of the
+    affinity set: the caller trains the first, forked workers the others. A step
+    whose product needs more than one BLAS thread keeps one shard, as its threads
+    would oversubscribe the CPUs that other shards run on. Workers write no file;
+    an exception of theirs is raised here with its type."""
+    step_macs = max(min(base.batch_size, train_ds.n) * a * b
+                    for a, b in zip(layer_sizes, layer_sizes[1:]))
+    shards = 1 if step_macs > _ONE_THREAD_MACS else min(len(os.sched_getaffinity(0)), n)
+    bounds = [n * k // shards for k in range(shards + 1)]
+
+    def shard(a: int, b: int) -> list:
+        # net a + r of the shard draws from default_rng(tr.seed + r), as in one stack
+        tr = dataclasses.replace(base, seed=base.seed + a)
+        return train(train_ds, dr, tr, [init_params(layer_sizes, seed=tr.seed + r)
+                                        for r in range(b - a)], val=val, test=test)
+
+    if shards == 1:
+        return shard(0, n)
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for a, b in zip(bounds[1:], bounds[2:]):
+            reader, writer = ctx.Pipe(duplex=False)
+            worker = ctx.Process(target=_shard_worker, args=(writer, shard, a, b), daemon=True)
+            worker.start()
+            writer.close()  # the worker holds the only writer: its death is an EOF here
+            workers.append((worker, reader))
+        results = shard(0, bounds[1])
+        for worker, reader in workers:
+            try:
+                reply = reader.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(f"a training worker exited with code {worker.exitcode} "
+                                   f"before sending its results") from None
+            if isinstance(reply, BaseException):
+                raise reply
+            results += reply
+        return results
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, reader in workers:
+            worker.join()
+            reader.close()
+
+
+def _shard_worker(writer, shard, a: int, b: int) -> None:
+    """Send shard(a, b), or the exception it raised, through writer."""
+    try:
+        reply = shard(a, b)
+    except BaseException as exc:  # noqa: BLE001 - raised in the parent
+        reply = exc
+    writer.send(reply)
+
+
 def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
     """Replication-many seeded runs plus aggregate CSVs. Returns the
     summary dictionary (also written to summary.json)."""
@@ -406,8 +469,7 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
 
     seeds = [base.seed + r for r in range(cfg["replications"])]
     t0 = time.perf_counter()
-    results = train(train_ds, dr, base, [init_params(layer_sizes, seed=s) for s in seeds],
-                    val=val_ds, test=test_ds)
+    results = _train_shards(train_ds, dr, base, layer_sizes, len(seeds), val_ds, test_ds)
     wall_time_s = time.perf_counter() - t0
     runs, omegas, failures = [], [], []
     for seed, result in zip(seeds, results):

@@ -66,6 +66,9 @@ class BudgetError(ValueError):
         super().__init__(msg)
         self.bad = bad
 
+    def __reduce__(self):  # pickled with bad, which its constructor needs
+        return type(self), (*self.args, self.bad)
+
 
 def class_members(labels: np.ndarray, n_classes: int, valid=None):
     """(member, count): member (..., K, n) is True where an entry is valid

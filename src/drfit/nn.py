@@ -30,6 +30,9 @@ class NumericError(FloatingPointError):
         super().__init__(msg)
         self.bad = bad
 
+    def __reduce__(self):  # pickled with bad, which its constructor needs
+        return type(self), (*self.args, self.bad)
+
 
 @dataclass
 class MlpParams:

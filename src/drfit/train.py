@@ -38,11 +38,15 @@ TRACE_COLUMNS = ("train_loss", "train_acc", "val_acc", "test_acc")
 
 
 class TrainingError(RuntimeError):
-    """Training diverged or hit an invalid state; carries the epoch."""
+    """Training diverged or hit an invalid state; carries the epoch. Its args
+    are its constructor's, so it pickles, as the exceptions of a worker must."""
 
     def __init__(self, msg: str, epoch: int):
-        super().__init__(f"{msg} (epoch {epoch})")
+        super().__init__(msg, epoch)
         self.epoch = epoch
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (epoch {self.epoch})"
 
 
 class RenormError(TrainingError):

@@ -3,7 +3,10 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 import re
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from drfit.cli import (
     validate_config,
 )
 from drfit.data import (
+    DataError,
     LabeledDataset,
     NoiseSpec,
     inject_label_noise,
@@ -415,7 +419,8 @@ def _read_bytes_map(out_dir):
     blobs = {n: (out / n).read_bytes() for n in names}
     for run in sorted(out.glob("*-seed*")):
         for n in ("trace.csv", "omega.csv"):
-            blobs[f"{run.name}/{n}"] = (run / n).read_bytes()
+            if (run / n).exists():  # a failed run has neither
+                blobs[f"{run.name}/{n}"] = (run / n).read_bytes()
         rec = json.loads((run / "record.json").read_text())
         rec.pop("wall_time_s")
         blobs[f"{run.name}/record.json"] = json.dumps(rec, sort_keys=True)
@@ -943,3 +948,149 @@ def test_sweep_exits_4_only_when_no_grid_point_finishes(tmp_path, capsys, monkey
     code = main(["sweep", "--set", "sweep.alpha_grid=[1.0,2.0]",
                  "--output-dir", str(tmp_path / "some")])
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# replications on several CPUs
+
+
+def _cpus(monkeypatch, n):
+    """Make the affinity set, and so the shard count, n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _parent_shards(monkeypatch, worker=None):
+    """The net count of each train call this process makes; a forked worker
+    counts in its own copy of the list. worker(), when given, runs in the
+    workers before they train."""
+    calls, parent, real = [], os.getpid(), cli.train
+
+    def counted(data, dr, tr, init, **kw):
+        if os.getpid() == parent:
+            calls.append(len(init))
+        elif worker is not None:
+            worker()
+        return real(data, dr, tr, init, **kw)
+
+    monkeypatch.setattr(cli, "train", counted)
+    return calls
+
+
+def _numeric_cfg(out_dir, **extra):
+    return _synth_cfg(out_dir, **{"train.solver": "numeric", "train.burn_in": 1,
+                                  "train.batch_size": 40, **extra})
+
+
+_SHARDED_CASES = {
+    # 3 nets: shards of 3, 1 + 2, 1 + 1 + 1
+    "uneven": lambda out: _synth_cfg(out, replications=3),
+    # nets 0 and 2 clip a class to zero weight and stop, in the parent's shard
+    # and, on 3 CPUs, a worker's; the other four finish
+    "failing": lambda out: _numeric_cfg(
+        out, replications=6, **{"train.epochs": 6, "train.omega_lr": 0.85,
+                                "train.theta_lr": 0.06, "data.mu": "[0.5,0.5]",
+                                "noise.seed": 1}),
+    "one-batch": lambda out: _numeric_cfg(out, replications=3, **{"train.batch_size": 200}),
+}
+
+
+@pytest.mark.parametrize("case", list(_SHARDED_CASES))
+def test_sharded_runs_write_the_bytes_of_one_stack(tmp_path, monkeypatch, case):
+    """Split over 1, 2 or 3 CPUs, a run writes the same criterion-13 files,
+    traces, weights and records (bar the wall time); the parent trains the
+    first shard."""
+    calls = _parent_shards(monkeypatch)
+    blobs = {}
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        cfg = _SHARDED_CASES[case](tmp_path / f"cpus{cpus}")
+        summary = run_training_experiment(cfg, quiet=True)
+        n = cfg["replications"]
+        assert calls.pop() == n // min(cpus, n) and calls == []
+        blobs[cpus] = _read_bytes_map(tmp_path / f"cpus{cpus}")
+        assert multiprocessing.active_children() == []
+    assert summary["runs"] + summary["failures"] == n
+    if case == "failing":
+        assert summary["failures"] == 2
+    assert blobs[1] == blobs[2] == blobs[3]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_run_in_which_every_shard_fails_exits_4_on_any_cpu_count(tmp_path, capsys,
+                                                                  monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    out = tmp_path / "all"
+    code = main(["train", "--kind", "synthetic-train", "--set", "data.n=120",
+                 "--set", "train.solver=numeric", "--set", "train.burn_in=1",
+                 "--set", "train.batch_size=40", "--set", "train.epochs=3",
+                 "--set", "train.omega_lr=5", "--set", "replications=3",
+                 "--output-dir", str(out)])
+    assert code == 4
+    assert "training error: all 3 replications failed" in capsys.readouterr().err
+    records = [json.loads(p.read_text()) for p in sorted(out.glob("*-seed*/record.json"))]
+    assert [r["error"] for r in records] == [
+        "all weights of class 0 are zero in a batch (epoch 2)"] * 3
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("batch_size, shards", [(64, 3), (65, 1)])
+def test_a_step_product_past_one_blas_thread_starts_no_worker(tmp_path, monkeypatch,
+                                                              batch_size, shards):
+    """64 rows through a 64 x 64 layer are nn._ONE_THREAD_MACS multiply-adds;
+    one row more would wake OpenBLAS's threads, so the parent trains every net."""
+    assert 64 * 64 * 64 == cli._ONE_THREAD_MACS
+    _cpus(monkeypatch, 3)
+    calls = _parent_shards(monkeypatch)
+    if shards == 1:  # a worker would need a context
+        monkeypatch.setattr(multiprocessing, "get_context", None)
+    cfg = _synth_cfg(tmp_path, replications=3, **{"data.hidden": "[64,64]",
+                                                  "train.epochs": 1,
+                                                  "train.batch_size": batch_size})
+    run_training_experiment(cfg, quiet=True)
+    assert calls == [3 // shards]
+
+
+def _assert_nothing_half_written(out):
+    assert not list(out.rglob("*.tmp"))
+    assert not list(out.glob("*-seed*")) and not (out / "summary.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_error_reaches_the_caller_with_its_type(tmp_path, monkeypatch):
+    _cpus(monkeypatch, 3)
+
+    def fail():
+        raise DataError("a worker's shard failed")
+
+    _parent_shards(monkeypatch, worker=fail)
+    with pytest.raises(DataError, match="a worker's shard failed"):
+        run_training_experiment(_synth_cfg(tmp_path, replications=3), quiet=True)
+    _assert_nothing_half_written(tmp_path)
+
+
+def test_a_worker_that_dies_without_a_reply_is_an_error_naming_its_exit_code(tmp_path,
+                                                                            monkeypatch):
+    _cpus(monkeypatch, 2)
+    _parent_shards(monkeypatch, worker=lambda: os._exit(7))
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        run_training_experiment(_synth_cfg(tmp_path), quiet=True)
+    _assert_nothing_half_written(tmp_path)
+
+
+def test_an_interrupt_in_the_parent_terminates_and_joins_the_workers(tmp_path, monkeypatch):
+    """The workers would sleep for a minute; the interrupt stops them at once."""
+    _cpus(monkeypatch, 3)
+    parent, real = os.getpid(), cli.train
+
+    def interrupted(*args, **kw):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli, "train", interrupted)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_training_experiment(_synth_cfg(tmp_path, replications=3), quiet=True)
+    assert time.perf_counter() - t0 < 20
+    _assert_nothing_half_written(tmp_path)

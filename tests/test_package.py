@@ -1,6 +1,6 @@
-"""The import surface: what `import drfit.cli` loads (no scipy module),
-what the package namespace holds, and that every public name of the
-program has a caller in it or in the benchmark."""
+"""The import surface: what `import drfit.cli` loads (no scipy or
+multiprocessing module), what the package namespace holds, and that every
+public name of the program has a caller in it or in the benchmark."""
 
 import ast
 import collections
@@ -17,6 +17,7 @@ import json, sys, types
 import drfit, drfit.cli
 print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "multiprocessing": sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"),
     "theory_stack": sorted({"drfit.theory", "scipy.optimize"} & set(sys.modules)),
     "names": {n: isinstance(v, types.ModuleType) for n, v in vars(drfit).items()
               if not (n.startswith("__") and n.endswith("__")) or n == "__version__"},
@@ -34,6 +35,8 @@ def test_cli_import_loads_no_scipy_stats_and_package_exports_nothing():
     probe = json.loads(out.stdout)
     # training runs on numpy alone: no scipy module at all, scipy.stats included
     assert probe["scipy"] == []
+    # training on several CPUs imports multiprocessing when it starts a worker
+    assert probe["multiprocessing"] == []
     # the theory reports import drfit.theory, and with it scipy.optimize, when they run
     assert probe["theory_stack"] == []
     names = probe["names"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import tracemalloc
 import types
 
@@ -12,7 +13,7 @@ import drfit.train as train_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drfit.core import (ConfigError, DrFitConfig, analytic_weights, class_members,
+from drfit.core import (BudgetError, ConfigError, DrFitConfig, analytic_weights, class_members,
                         member_weights, reduced_loss, scale_members)
 from drfit.data import LabeledDataset, NoiseSpec, inject_label_noise, synthetic_gaussian_2class
 from drfit.nn import NumericError, init_params, mlp_forward, per_example_loss, weighted_backward
@@ -716,3 +717,20 @@ def test_a_label_outside_the_classes_fails_before_the_first_step(monkeypatch):
         train(LabeledDataset(ds.features, labels), DrFitConfig(alpha=0.5), tr,
               init_params([2, 4, 1], seed=1))
     assert passes == []
+
+
+@pytest.mark.parametrize("exc", [
+    TrainingError("training diverged: non-finite training loss", 3),
+    RenormError("all weights of class 1 are zero in a batch", 2),
+    NumericError("non-finite pre-activation at layer 0", np.array([False, True, False])),
+    BudgetError("all weights of class 0 are zero", np.array(True)),
+], ids=lambda exc: type(exc).__name__)
+def test_training_exceptions_survive_a_process_boundary(exc):
+    """A worker sends its exception pickled: it comes back with its type,
+    message, epoch and failed nets."""
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc) and str(back) == str(exc) and back.args == exc.args
+    for field in ("epoch", "bad"):
+        assert np.array_equal(getattr(back, field, None), getattr(exc, field, None))
+    if isinstance(exc, TrainingError):
+        assert str(back).endswith(f"(epoch {exc.epoch})")
