@@ -64,16 +64,7 @@ _DEFAULTS = {
     "output_dir": "runs/out",
     "replications": 1,
     "drfit": {"alpha": 1.0, "lam": 0.0, "rho": "auto"},
-    "train": {
-        "epochs": 20,
-        "batch_size": 64,
-        "theta_lr": 0.05,
-        "omega_lr": 0.1,
-        "burn_in": 3,
-        "update_frequency": 1,
-        "seed": 0,
-        "solver": "analytic",
-    },
+    "train": dataclasses.asdict(TrainConfig()),
     "noise": {"rates": [0.3, 0.1], "seed": 0},
     "data": {
         "root": None,
@@ -365,8 +356,8 @@ def _write_detection(out: Path, omega, mask, bins: int = 50) -> None:
 
 
 def _read_omega_csv(path) -> np.ndarray:
-    """The weights of a run's omega.csv; a row that is not an index and a
-    numeric weight is a DataError naming the file and the line."""
+    """The weights of a run's omega.csv; a row that is not its own index and
+    a finite, nonnegative weight is a DataError naming the file and the line."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     omega = []
@@ -374,7 +365,11 @@ def _read_omega_csv(path) -> np.ndarray:
         try:
             if len(r) != 2:
                 raise ValueError(f"{len(r)} cells for 2 columns")
-            omega.append(float(r[1]))
+            if int(r[0]) != line - 2:
+                raise ValueError(f"index {r[0]} where {line - 2} belongs")
+            if not 0.0 <= (w := float(r[1])) < math.inf:
+                raise ValueError(f"weight {w} is not finite and nonnegative")
+            omega.append(w)
         except ValueError as exc:
             raise DataError(f"{path}, line {line}: {exc}") from None
     return np.array(omega)

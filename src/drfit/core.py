@@ -105,17 +105,24 @@ def scale_members(omega: np.ndarray, member: np.ndarray, count: np.ndarray,
     return omega
 
 
+def _class_exp(losses: np.ndarray, member: np.ndarray, alpha: float):
+    """(spread, top): spread (..., K, n) holds exp(-loss/alpha - top) in each
+    entry's class row and 0 elsewhere, top (..., K, 1) the class's largest
+    -loss/alpha, subtracted so the exponentials cannot overflow."""
+    # -loss/alpha in each entry's class row, -inf (weight 0) elsewhere
+    spread = np.where(member, (losses / -alpha)[..., None, :], -np.inf)
+    top = spread.max(axis=-1, keepdims=True)
+    np.subtract(spread, top, out=spread, where=member)
+    return np.exp(spread, out=spread), top
+
+
 def member_weights(losses: np.ndarray, member: np.ndarray, count: np.ndarray, rho: np.ndarray,
                    alpha: float) -> np.ndarray:
     """Per-class softmax of -loss/alpha over the classes present in the
     membership (member, count) of class_members, scaled to the class
     budgets, within each row (the last axis) of stacked losses. Entries of
     no class get weight 0 and are not counted."""
-    # -loss/alpha in each entry's class row, -inf (weight 0) elsewhere
-    spread = np.where(member, (losses / -alpha)[..., None, :], -np.inf)
-    top = spread.max(axis=-1, keepdims=True)
-    np.subtract(spread, top, out=spread, where=member)
-    return _scale(np.exp(spread, out=spread), count, rho)
+    return _scale(_class_exp(losses, member, alpha)[0], count, rho)
 
 
 def _class_sizes(labels: np.ndarray, n: int) -> np.ndarray:
@@ -144,15 +151,11 @@ def reduced_loss(losses: np.ndarray, theta_sq: float, labels: np.ndarray,
                  cfg: DrFitConfig) -> float:
     """h(theta) for the given per-example losses and ||theta||^2."""
     losses, labels = np.asarray(losses, dtype=np.float64), np.asarray(labels)
-    count = _class_sizes(labels, losses.size)
-    rho = cfg.rho_for(count.size)
-    h = 0.5 * cfg.lam * theta_sq
-    for k, n_k in enumerate(count):
-        lk = losses[labels == k]
-        m = lk.min()  # subtract the dominant term so the exponentials cannot overflow
-        lse = -m / cfg.alpha + np.log(np.exp(-(lk - m) / cfg.alpha).sum())
-        h -= cfg.alpha * rho[k] * n_k * lse
-    return float(h)
+    rho = cfg.rho_for(_class_sizes(labels, losses.size).size)
+    member, count = class_members(labels, rho.size)
+    spread, top = _class_exp(losses, member, cfg.alpha)
+    lse = top[:, 0] + np.log(spread.sum(axis=-1))
+    return float(0.5 * cfg.lam * theta_sq - cfg.alpha * (rho * count * lse).sum())
 
 
 def reduced_loss_grad(

@@ -20,22 +20,6 @@ class DataError(ValueError):
     """Invalid dataset input or construction request."""
 
 
-class IdxError(DataError):
-    """Malformed IDX file."""
-
-
-class IdxMagicError(IdxError):
-    """Unknown magic number."""
-
-
-class IdxTruncatedError(IdxError):
-    """File shorter (or longer) than its header promises."""
-
-
-class IdxCountMismatchError(IdxError):
-    """Image and label files disagree on the number of records."""
-
-
 _IMAGE_MAGIC = 2051
 _LABEL_MAGIC = 2049
 
@@ -118,7 +102,7 @@ class NoiseSpec:
 def _read_exact(buf: bytes, offset: int, count: int, what: str) -> bytes:
     chunk = buf[offset:offset + count]
     if len(chunk) < count:
-        raise IdxTruncatedError(f"{what}: expected {count} bytes, found {len(chunk)}")
+        raise DataError(f"{what}: expected {count} bytes, found {len(chunk)}")
     return chunk
 
 
@@ -127,7 +111,7 @@ def _parse_idx(path, magic: int, n_dims: int) -> np.ndarray:
         buf = fh.read()
     got = int.from_bytes(_read_exact(buf, 0, 4, "magic"), "big")
     if got != magic:
-        raise IdxMagicError(f"unknown magic {got}, expected {magic}")
+        raise DataError(f"unknown magic {got}, expected {magic}")
     dims = [
         int.from_bytes(_read_exact(buf, 4 + 4 * i, 4, f"dimension {i}"), "big")
         for i in range(n_dims)
@@ -136,7 +120,7 @@ def _parse_idx(path, magic: int, n_dims: int) -> np.ndarray:
     # math.prod: a product of 32-bit dimensions can wrap in int64
     size = math.prod(dims)
     if len(buf) - offset != size:
-        raise IdxTruncatedError(f"payload: expected {size} bytes, found {len(buf) - offset}")
+        raise DataError(f"payload: expected {size} bytes, found {len(buf) - offset}")
     # a read-only view of the payload in the file's own buffer, not a copy
     return np.frombuffer(buf, dtype=np.uint8, offset=offset).reshape(dims)
 
@@ -148,9 +132,7 @@ def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     images = _parse_idx(images_path, _IMAGE_MAGIC, 3)
     labels = _parse_idx(labels_path, _LABEL_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
-        raise IdxCountMismatchError(
-            f"{images.shape[0]} images vs {labels.shape[0]} labels"
-        )
+        raise DataError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
     return images, labels.astype(int)
 
 
@@ -343,8 +325,9 @@ def save_dataset_csv(ds: LabeledDataset, path) -> None:
 
 def load_dataset_csv(path) -> LabeledDataset:
     """Read a save_dataset_csv snapshot. An empty file, a header without
-    rows, a missing label column, and a row that is short, long or not
-    numeric are DataErrors naming the file, and the line of a bad row."""
+    rows, a missing label column, and a row that is short, long, not
+    numeric, or holds a label, true_label or mislabel other than 0 or 1 are
+    DataErrors naming the file, and the line of a bad row."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -364,6 +347,8 @@ def load_dataset_csv(path) -> LabeledDataset:
                 raise ValueError(f"{len(r)} cells for {len(header)} columns")
             feats.append([float(v) for v in r[:d]])
             ints.append([int(r[j]) for j in cols])
+            if bad := [f"{c} {v}" for c, v in zip(names, ints[-1]) if v not in (0, 1)]:
+                raise ValueError(f"{bad[0]} is not 0 or 1")
         except ValueError as exc:
             raise DataError(f"{path}, line {line}: {exc}") from None
     feats = np.array(feats)

@@ -10,10 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class UndefinedAucError(ValueError):
-    """AUC needs at least one point in each group."""
-
-
 @dataclass(frozen=True)
 class WeightHistogram:
     """Counts of correct-label and mislabelled weights over shared bins."""
@@ -78,7 +74,7 @@ def detection_auc(omega, mask) -> float:
     than a random correctly labelled one; ties count one half."""
     correct, wrong = _split_groups(omega, mask)
     if correct.size == 0 or wrong.size == 0:
-        raise UndefinedAucError("both label groups must be nonempty")
+        raise ValueError("both label groups must be nonempty")
     # per flipped weight: correct weights strictly above it, and ties; the
     # counts are whole and half integers, so u equals the rank-sum statistic
     c = np.sort(correct)

@@ -19,10 +19,6 @@ _ONE_THREAD_MACS = 2**18
 _BLOCK_FLOATS = 2**15
 
 
-class ShapeError(ValueError):
-    pass
-
-
 class NumericError(FloatingPointError):
     """A non-finite value; `bad` marks the failed nets of a stack."""
 
@@ -50,17 +46,17 @@ class MlpParams:
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
-            raise ShapeError("need one bias vector per weight matrix")
+            raise ValueError("need one bias vector per weight matrix")
         self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim < 2 or b.shape != w.shape[:-2] + w.shape[-1:]:
-                raise ShapeError(f"layer {i}: weight {w.shape} vs bias {b.shape}")
+                raise ValueError(f"layer {i}: weight {w.shape} vs bias {b.shape}")
             if i > 0 and self.weights[i - 1].shape[-1] != w.shape[-2]:
-                raise ShapeError(f"layer {i - 1} emits {self.weights[i - 1].shape[-1]} "
+                raise ValueError(f"layer {i - 1} emits {self.weights[i - 1].shape[-1]} "
                                  f"features, layer {i} expects {w.shape[-2]}")
         if self.weights[-1].shape[-1] != 1:
-            raise ShapeError("the logistic head needs a single final unit")
+            raise ValueError("the logistic head needs a single final unit")
 
     @property
     def n_in(self) -> int:
@@ -81,7 +77,7 @@ class MlpParams:
         vec; the arrays are views of vec, so writes to either show in both."""
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape[-1:] != (self.n_params,):
-            raise ShapeError(f"expected {self.n_params} parameters, got {vec.shape}")
+            raise ValueError(f"expected {self.n_params} parameters, got {vec.shape}")
         return MlpParams(*self._views(vec))
 
     def _views(self, vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -124,7 +120,7 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> ForwardCache:
     by all of them, (n, n_in), which matmul broadcasts without copying."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != params.n_in:
-        raise ShapeError(f"batch {x.shape} does not match input width {params.n_in}")
+        raise ValueError(f"batch {x.shape} does not match input width {params.n_in}")
     pre_acts, acts, a = [], [], x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         step = max(1, _ONE_THREAD_MACS // (w.shape[-2] * w.shape[-1]))
@@ -163,7 +159,7 @@ def _signs(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     are shared by all stacked nets, (R, n) give one row per net."""
     signs = labels if isinstance(labels, Signs) else label_signs(labels)
     if signs.shape != scores.shape[scores.ndim - signs.ndim :]:
-        raise ShapeError(f"labels {signs.shape} vs scores {scores.shape}")
+        raise ValueError(f"labels {signs.shape} vs scores {scores.shape}")
     return signs.view(np.ndarray)
 
 
@@ -181,7 +177,7 @@ def weighted_backward(params: MlpParams, cache: ForwardCache, labels: np.ndarray
     makes the parameters it updates non-finite, which the next mlp_forward reports."""
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != cache.scores.shape:
-        raise ShapeError(f"omega {omega.shape} vs scores {cache.scores.shape}")
+        raise ValueError(f"omega {omega.shape} vs scores {cache.scores.shape}")
     if omega.min(initial=0.0) < 0:
         raise ValueError("observation weights must be nonnegative")
     # d/dz softplus(-2s z) = -2s sigma(-2s z); sigma(v) = 1/(1 + e^{-v}) saturates at 0 and 1

@@ -6,8 +6,8 @@ One minibatch loop, `train`, runs the solver named by TrainConfig.solver:
     are the closed-form per-class softmax computed on each minibatch
     (with n_k = rho_k |C_k intersect S|) and never stored between steps.
   * numeric: the alternating scheme — a theta step at the current
-    weights, then (after burn-in, at the configured frequency) a weight
-    step omega_i <- omega_i - beta [loss_i + alpha log omega_i], clipped
+    weights, then (every epoch after burn-in) a weight step
+    omega_i <- omega_i - beta [loss_i + alpha log omega_i], clipped
     at zero and renormalised so each class present in the batch has mean
     weight rho_c.
   * plain: omega fixed at rho_c for every example; the unweighted
@@ -49,25 +49,21 @@ class TrainingError(RuntimeError):
         return f"{self.args[0]} (epoch {self.epoch})"
 
 
-class RenormError(TrainingError):
-    """Every weight of some class in a batch was clipped to zero."""
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int
-    batch_size: int
-    theta_lr: float
+    """The descent schedule and solver; its defaults are the config file's."""
+
+    epochs: int = 20
+    batch_size: int = 64
+    theta_lr: float = 0.05
     omega_lr: float = 0.1
     burn_in: int = 3
-    update_frequency: int = 1
     seed: int = 0
     solver: str = "analytic"
 
     def __post_init__(self):
         for bad, msg in ((self.epochs < 0, "epochs must be nonnegative"),
                          (self.batch_size < 1, "batch_size must be at least 1"),
-                         (self.update_frequency < 1, "update_frequency must be at least 1"),
                          (not self.theta_lr > 0, "theta_lr must be positive"),
                          (self.omega_lr < 0, "omega_lr must be nonnegative"),
                          (self.burn_in < 0, "burn_in must be nonnegative"),
@@ -205,8 +201,8 @@ def train(data, dr, tr, init, val=None, test=None):
             except (NumericError, BudgetError) as exc:
                 if not (hit := [r for r in np.flatnonzero(exc.bad) if results[r] is None]):
                     raise
-                stop([(r, RenormError(f"{exc} in a batch", epoch) if isinstance(exc, BudgetError)
-                       else TrainingError(f"training diverged: {exc}", epoch)) for r in hit])
+                stop([(r, TrainingError(f"{exc} in a batch" if isinstance(exc, BudgetError)
+                                        else f"training diverged: {exc}", epoch)) for r in hit])
 
     def reduce():
         """Write the block's epochs into history. A snapshot failing a check (the training
@@ -272,8 +268,7 @@ def train(data, dr, tr, init, val=None, test=None):
         pending += 1
 
     for epoch in range(1, tr.epochs + 1):
-        update_weights = (tr.solver == "numeric" and epoch > tr.burn_in
-                          and epoch % tr.update_frequency == 0)
+        update_weights = tr.solver == "numeric" and epoch > tr.burn_in
         if epoch == 1 or not one:  # a stopped net gets no batches
             idx, valid = _padded([_stratified_batches(classes, tr.batch_size, rng)
                                   if res is None else [] for rng, res in zip(rngs, results)], width)

@@ -121,10 +121,13 @@ def test_unknown_config_file_key_is_a_config_error(tmp_path):
         load_config(str(path), [])
 
 
-def test_unknown_override_key_exits_2(tmp_path):
-    argv = ["train", "--output-dir", str(tmp_path), "--set", "train.epoch=50"]
-    assert main(argv) == 2
-    assert not any(tmp_path.iterdir())
+def test_unknown_override_key_exits_2(tmp_path, capsys):
+    # train.update_frequency: a key that configs written for earlier versions may still set
+    for key in ("train.epoch", "train.update_frequency"):
+        argv = ["train", "--output-dir", str(tmp_path / "out"), "--set", f"{key}=2"]
+        assert main(argv) == 2
+        assert not any(tmp_path.iterdir())
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_keys_read_by_the_runners_are_defined():
@@ -708,7 +711,20 @@ def test_detect_without_both_label_groups_exits_3(tmp_path, capsys, flipped):
     _assert_detect_exits_3(run_dir, snapshot, capsys, str(snapshot), "flipped and clean")
 
 
-@pytest.mark.parametrize("kind", ["empty", "no-rows", "short-row", "non-numeric", "non-finite"])
+# a snapshot's label, true_label and mislabel cells hold 0 or 1
+_BAD_LABELS = {"label-minus-1": ("label", "-1"), "label-2": ("label", "2"),
+               "true-label-2": ("true_label", "2"), "mislabel-2": ("mislabel", "2")}
+
+
+def _with_cell(header: str, row: str, column: str, value: str) -> str:
+    """The CSV row with its cell under column replaced by value."""
+    cells = row.split(",")
+    cells[header.split(",").index(column)] = value
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("kind", ["empty", "no-rows", "short-row", "non-numeric", "non-finite",
+                                  *_BAD_LABELS])
 def test_detect_on_a_malformed_snapshot_exits_3(tmp_path, capsys, kind):
     run_training_experiment(_synth_cfg(tmp_path, replications=1), quiet=True)
     run_dir = next(Path(tmp_path).glob("*-seed*"))
@@ -725,6 +741,10 @@ def test_detect_on_a_malformed_snapshot_exits_3(tmp_path, capsys, kind):
     elif kind == "non-finite":
         lines[4] = "nan" + lines[4][lines[4].index(","):]
         needles = ["line 5", "non-finite feature"]
+    elif kind in _BAD_LABELS:
+        column, value = _BAD_LABELS[kind]
+        lines[6] = _with_cell(lines[0], lines[6], column, value)
+        needles = ["line 7", f"{column} {value} is not 0 or 1"]
     else:
         lines[7] = "x" + lines[7]
         needles = ["line 8"]
@@ -733,18 +753,23 @@ def test_detect_on_a_malformed_snapshot_exits_3(tmp_path, capsys, kind):
     _assert_detect_exits_3(run_dir, snapshot, capsys, str(snapshot), *needles)
 
 
-@pytest.mark.parametrize("kind", ["short-row", "non-numeric"])
+# the row that replaces line 4 (index 2) of omega.csv, and what the error says of it
+_BAD_OMEGA_ROWS = {"short-row": ("2", "1 cells"), "non-numeric": ("2,abc", "abc"),
+                   "nan": ("2,nan", "weight nan"), "inf": ("2,inf", "weight inf"),
+                   "negative": ("2,-1.0", "weight -1.0"), "index-x": ("x,1.0", "'x'"),
+                   "out-of-order": ("3,1.0", "index 3 where 2 belongs")}
+
+
+@pytest.mark.parametrize("kind", _BAD_OMEGA_ROWS)
 def test_detect_on_a_malformed_omega_csv_exits_3(tmp_path, capsys, kind):
     run_training_experiment(_synth_cfg(tmp_path, replications=1), quiet=True)
     run_dir = next(Path(tmp_path).glob("*-seed*"))
     omega = run_dir / "omega.csv"
     lines = omega.read_text().splitlines()
-    if kind == "short-row":
-        lines[3] = lines[3].split(",")[0]
-    else:
-        lines[3] = lines[3].split(",")[0] + ",abc"
+    lines[3], needle = _BAD_OMEGA_ROWS[kind]
     omega.write_text("".join(line + "\n" for line in lines))
-    _assert_detect_exits_3(run_dir, tmp_path / "train_snapshot.csv", capsys, str(omega), "line 4")
+    _assert_detect_exits_3(run_dir, tmp_path / "train_snapshot.csv", capsys, str(omega),
+                           "line 4", needle)
 
 
 def _mnist_cfg(root, subsample=2000):
@@ -877,6 +902,26 @@ def test_train_on_a_snapshot_with_a_non_finite_feature_exits_3(tmp_path, capsys)
                  "--set", "train.epochs=1", "--output-dir", str(out)])
     assert code == 3
     assert f"data error: {snapshot}, line 10: non-finite feature" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["label-minus-1", "label-2", "true-label-2"])
+def test_train_on_a_snapshot_with_a_label_other_than_0_or_1_exits_3(tmp_path, capsys, kind):
+    """A label of -1 drops out of the stratified split unseen, and a 2 fails
+    only once train_snapshot.csv is written: the loader rejects both, naming
+    the file and line, before any dataset is built."""
+    run_training_experiment(_synth_cfg(tmp_path, replications=1), quiet=True)
+    lines = (tmp_path / "train_snapshot.csv").read_text().splitlines()
+    column, value = _BAD_LABELS[kind]
+    lines[9] = _with_cell(lines[0], lines[9], column, value)
+    snapshot = tmp_path / "bad.csv"
+    snapshot.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "run"
+    code = main(["train", "--kind", "mnist-1v7", "--set", f"data.snapshot={snapshot}",
+                 "--set", "train.epochs=1", "--output-dir", str(out)])
+    assert code == 3
+    assert (f"data error: {snapshot}, line 10: {column} {value} is not 0 or 1"
+            in capsys.readouterr().err)
+    assert not (out / "train_snapshot.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

@@ -7,7 +7,6 @@ import pytest
 
 from drfit.metrics import (
     SeparationCurve,
-    UndefinedAucError,
     WeightHistogram,
     crash_detector,
     detection_auc,
@@ -84,9 +83,9 @@ def test_auc_hand_values():
 
 
 def test_auc_needs_both_groups():
-    with pytest.raises(UndefinedAucError):
+    with pytest.raises(ValueError, match="both label groups must be nonempty"):
         detection_auc(np.ones(3), np.zeros(3, dtype=bool))
-    with pytest.raises(UndefinedAucError):
+    with pytest.raises(ValueError, match="both label groups must be nonempty"):
         detection_auc(np.ones(3), np.ones(3, dtype=bool))
 
 

@@ -10,7 +10,6 @@ from drfit.nn import (
     ForwardCache,
     MlpParams,
     NumericError,
-    ShapeError,
     init_params,
     mlp_forward,
     per_example_loss,
@@ -212,21 +211,21 @@ def test_init_params_is_seeded_and_biases_zero():
 
 def test_shape_and_label_errors():
     params = init_params([3, 2, 1], seed=0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"batch \(4, 5\) does not match input width 3"):
         mlp_forward(params, np.zeros((4, 5)))
     cache = mlp_forward(params, np.zeros((4, 3)))
     with pytest.raises(ValueError):
         per_example_loss(cache, np.array([0, 1, 2, 0]))
     with pytest.raises(ValueError):  # a label must be a class, not a probability
         weighted_backward(params, cache, np.array([0.0, 0.5, 1.0, 1.0]), np.ones(4))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError):
         MlpParams(weights=[np.zeros((3, 2))], biases=[np.zeros(3)])
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError):
         MlpParams(
             weights=[np.zeros((3, 2)), np.zeros((4, 1))],
             biases=[np.zeros(2), np.zeros(1)],
         )
-    with pytest.raises(ShapeError):  # the logistic head has one final unit
+    with pytest.raises(ValueError):  # the logistic head has one final unit
         MlpParams(weights=[np.zeros((3, 2))], biases=[np.zeros(2)])
 
 

@@ -1,8 +1,10 @@
 """The import surface: what `import drfit.cli` loads (no scipy or
-multiprocessing module), what the package namespace holds, and that every
-public name of the program has a caller in it or in the benchmark."""
+multiprocessing module), what the package namespace holds, that every
+public name of the program has a caller in it or in the benchmark, and that
+the program tells every exception class it defines apart from its base."""
 
 import ast
+import builtins
 import collections
 import json
 import os
@@ -84,3 +86,35 @@ def test_every_public_name_has_a_caller_in_the_program_or_the_bench():
     dead = [n for n in _uncalled_public_names()
             if n.split(":")[1] not in hooked | _AWAITING_A_CALLER]
     assert dead == [], f"public names that only tests reach: {dead}"
+
+
+def _untold_exception_classes() -> list:
+    """Exception classes of src/drfit that no except clause or isinstance
+    call in src/drfit names and that are no base of one that is named, as
+    "module.py:name"."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(_SRC.glob("*.py"))}
+    classes = {node.name: (f, {n.id if isinstance(n, ast.Name) else n.attr for n in node.bases})
+               for f, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    # an exception class derives, through classes of the program, from a builtin exception
+    errors = {n for n, v in vars(builtins).items()
+              if isinstance(v, type) and issubclass(v, BaseException)}
+    while grown := {n for n, (_, bases) in classes.items() if bases & errors} - errors:
+        errors |= grown
+    told = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                told.update(_names(node.type))
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  and len(node.args) == 2):
+                told.update(_names(node.args[1]))
+    while bases := {b for n in told & classes.keys() for b in classes[n][1]} - told:
+        told |= bases
+    return [f"{f}:{n}" for n, (f, _) in classes.items() if n in errors and n not in told]
+
+
+def test_every_exception_class_is_told_apart_by_the_program():
+    """A subclass that no handler or isinstance check names is its base
+    under another name: the program raises the base instead."""
+    assert _untold_exception_classes() == []

@@ -18,7 +18,6 @@ from drfit.core import (BudgetError, ConfigError, DrFitConfig, analytic_weights,
 from drfit.data import LabeledDataset, NoiseSpec, inject_label_noise, synthetic_gaussian_2class
 from drfit.nn import NumericError, init_params, mlp_forward, per_example_loss, weighted_backward
 from drfit.train import (
-    RenormError,
     TrainConfig,
     TrainingError,
     _accuracy,
@@ -41,7 +40,7 @@ def test_numeric_single_epoch_matches_hand_sequencing():
     dr = DrFitConfig(alpha=0.5, lam=0.0, rho=(1.25, 0.8))
     tr = TrainConfig(
         epochs=1, batch_size=6, theta_lr=0.01, omega_lr=0.5,
-        burn_in=0, update_frequency=1, seed=0, solver="numeric",
+        burn_in=0, seed=0, solver="numeric",
     )
     init = init_params([2, 4, 1], seed=1)
     params, omega, trace = train(ds, dr, tr, init)
@@ -73,7 +72,7 @@ def test_numeric_weights_keep_class_budgets():
     for epochs in range(1, 7):
         tr = TrainConfig(
             epochs=epochs, batch_size=80, theta_lr=0.005, omega_lr=0.1,
-            burn_in=1, update_frequency=1, seed=2, solver="numeric",
+            burn_in=1, seed=2, solver="numeric",
         )
         _, omega, _ = train(ds, dr, tr, init)
         assert np.all(omega >= 0.0)
@@ -226,7 +225,7 @@ def test_runaway_weight_step_trips_renormalisation():
         burn_in=0, solver="numeric",
     )
     init = init_params([2, 4, 1], seed=14)
-    with pytest.raises(RenormError):
+    with pytest.raises(TrainingError, match=r"all weights of class \d are zero in a batch"):
         train(ds, dr, tr, init)
 
 
@@ -322,7 +321,7 @@ def test_one_batch_numeric_epoch_reuses_the_weight_step_pass(monkeypatch):
                         lambda params, batch: calls.append(1) or forward(params, batch))
     for epochs in range(1, 7):
         tr = TrainConfig(epochs=epochs, batch_size=40, theta_lr=0.01, omega_lr=0.1,
-                         burn_in=1, update_frequency=2, seed=3, solver="numeric")
+                         burn_in=3, seed=3, solver="numeric")
         calls.clear()
         params, _, trace = train(ds, dr, tr, init)
         # the first step's pass, then one weight-step or epoch-end pass per epoch
@@ -340,8 +339,8 @@ def test_one_batch_run_makes_one_training_pass_per_parameter_state(monkeypatch, 
     ds = _toy_data(n=40)
     dr = DrFitConfig(alpha=0.5, lam=0.01, rho=(1.25, 5.0 / 6.0))
     nets = [init_params([2, *hidden, 1], seed=60 + r) for r in range(2)]
-    tr = TrainConfig(epochs=6, batch_size=40, theta_lr=0.05, omega_lr=0.1, burn_in=1,
-                     update_frequency=2, seed=7, solver=solver)
+    tr = TrainConfig(epochs=6, batch_size=40, theta_lr=0.05, omega_lr=0.1, burn_in=3,
+                     seed=7, solver=solver)
     rows = []
     forward = train_module.mlp_forward
     monkeypatch.setattr(train_module, "mlp_forward",
@@ -366,8 +365,6 @@ def test_train_config_validation():
         TrainConfig(epochs=1, batch_size=16, theta_lr=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, batch_size=16, theta_lr=0.01, solver="magic")
-    with pytest.raises(ConfigError):
-        TrainConfig(epochs=1, batch_size=16, theta_lr=0.01, update_frequency=0)
 
 
 def test_train_submodule_is_not_shadowed():
@@ -512,7 +509,8 @@ def test_nets_failing_at_later_epochs_leave_the_others_bit_for_bit():
     with np.errstate(over="ignore", invalid="ignore"):
         results = train(ds, dr, tr, nets, val=ds)
     assert isinstance(results[1], TrainingError) and results[1].epoch == 1
-    assert isinstance(results[2], RenormError) and results[2].epoch == 3
+    assert isinstance(results[2], TrainingError) and results[2].epoch == 3
+    assert str(results[2]) == "all weights of class 0 are zero in a batch (epoch 3)"
     for r in (0, 3):
         (p1, w1, t1), (p0, w0, t0) = results[r], train(
             ds, dr, dataclasses.replace(tr, seed=30 + r), nets[r], val=ds)
@@ -721,7 +719,6 @@ def test_a_label_outside_the_classes_fails_before_the_first_step(monkeypatch):
 
 @pytest.mark.parametrize("exc", [
     TrainingError("training diverged: non-finite training loss", 3),
-    RenormError("all weights of class 1 are zero in a batch", 2),
     NumericError("non-finite pre-activation at layer 0", np.array([False, True, False])),
     BudgetError("all weights of class 0 are zero", np.array(True)),
 ], ids=lambda exc: type(exc).__name__)
