@@ -37,6 +37,7 @@ from .data import (
     inject_label_noise,
     load_dataset_csv,
     load_mnist_idx,
+    load_weights_csv,
     prepare_ones_vs_sevens,
     save_dataset_csv,
     spd_cholesky,
@@ -44,20 +45,11 @@ from .data import (
     stratified_split,
     synthetic_gaussian_2class,
 )
-from .nn import _ONE_THREAD_MACS, init_params
+from .nn import init_params, one_thread_rows
 from .train import TRACE_COLUMNS, TrainConfig, TrainingError, train
 from .metrics import crash_detector, detection_auc, separation_curve, weight_histogram
 
 DATA_ROOT_ENV = "DRFIT_DATA_ROOT"
-
-# the kinds that train nets, KINDS[:2], come first
-KINDS = (
-    "mnist-1v7",
-    "synthetic-train",
-    "theory-1d",
-    "theory-mv",
-    "theory-counterexample",
-)
 
 _DEFAULTS = {
     "kind": None,
@@ -113,10 +105,14 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = copy.deepcopy(_DEFAULTS)
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
         except FileNotFoundError:
             raise DataError(f"config file not found: {path}") from None
+        except OSError as exc:
+            raise DataError(f"config file cannot be read: {path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
@@ -291,17 +287,23 @@ def _synthetic_sets(cfg: dict, noise: NoiseSpec):
     return inject_label_noise(clean, noise), test
 
 
+# the kinds that train nets, by the function that builds their noisy and test sets
+_DATASETS = {"mnist-1v7": _mnist_sets, "synthetic-train": _synthetic_sets}
+
+
 def build_datasets(cfg: dict):
-    """Noisy train/val (carved after noise injection) plus the clean test set."""
-    noise = _noise_spec(cfg)
-    if cfg["kind"] == "mnist-1v7":
-        noisy, test = _mnist_sets(cfg, noise)
-    elif cfg["kind"] == "synthetic-train":
-        noisy, test = _synthetic_sets(cfg, noise)
-    else:
+    """Noisy train/val (carved after noise injection) plus the clean test set;
+    a split that leaves either part empty is a DataError."""
+    if cfg["kind"] not in _DATASETS:
         raise ConfigError(f"kind {cfg['kind']} does not define datasets")
+    noise = _noise_spec(cfg)
+    noisy, test = _DATASETS[cfg["kind"]](cfg, noise)
     vf = cfg["data"]["val_fraction"]
     train_ds, val_ds = stratified_split(noisy, [1.0 - vf, vf], seed=noise.seed + 1)
+    if not train_ds.n or not val_ds.n:
+        raise DataError(f"the {'validation' if train_ds.n else 'training'} set is empty: "
+                        f"data.val_fraction {vf} splits the {noisy.n} noisy rows into "
+                        f"{train_ds.n} training and {val_ds.n} validation rows")
     return train_ds, val_ds, test
 
 
@@ -355,31 +357,12 @@ def _write_detection(out: Path, omega, mask, bins: int = 50) -> None:
                      for a in (curve.thresholds, curve.correct_kept, curve.mislabelled_caught))))
 
 
-def _read_omega_csv(path) -> np.ndarray:
-    """The weights of a run's omega.csv; a row that is not its own index and
-    a finite, nonnegative weight is a DataError naming the file and the line."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    omega = []
-    for line, r in enumerate(rows, start=2):
-        try:
-            if len(r) != 2:
-                raise ValueError(f"{len(r)} cells for 2 columns")
-            if int(r[0]) != line - 2:
-                raise ValueError(f"index {r[0]} where {line - 2} belongs")
-            if not 0.0 <= (w := float(r[1])) < math.inf:
-                raise ValueError(f"weight {w} is not finite and nonnegative")
-            omega.append(w)
-        except ValueError as exc:
-            raise DataError(f"{path}, line {line}: {exc}") from None
-    return np.array(omega)
-
-
 def _validate_training(cfg: dict) -> dict:
     """validate_config's result, for a kind that trains nets."""
     cfg = validate_config(cfg)
-    if cfg["kind"] not in KINDS[:2]:
-        raise ConfigError(f"kind {cfg['kind']} does not train; training kinds are {KINDS[:2]}")
+    if cfg["kind"] not in _DATASETS:
+        raise ConfigError(f"kind {cfg['kind']} does not train; training kinds are "
+                          f"{tuple(_DATASETS)}")
     return cfg
 
 
@@ -390,9 +373,9 @@ def _train_shards(train_ds, dr, base: TrainConfig, layer_sizes, n: int, val, tes
     whose product needs more than one BLAS thread keeps one shard, as its threads
     would oversubscribe the CPUs that other shards run on. Workers write no file;
     an exception of theirs is raised here with its type."""
-    step_macs = max(min(base.batch_size, train_ds.n) * a * b
-                    for a, b in zip(layer_sizes, layer_sizes[1:]))
-    shards = 1 if step_macs > _ONE_THREAD_MACS else min(len(os.sched_getaffinity(0)), n)
+    rows = min(base.batch_size, train_ds.n)
+    one_thread = all(rows <= one_thread_rows(a, b) for a, b in zip(layer_sizes, layer_sizes[1:]))
+    shards = min(len(os.sched_getaffinity(0)), n) if one_thread else 1
     bounds = [n * k // shards for k in range(shards + 1)]
 
     def shard(a: int, b: int) -> list:
@@ -450,16 +433,16 @@ def run_training_experiment(cfg: dict, quiet: bool = False) -> dict:
     summary dictionary (also written to summary.json)."""
     cfg = _validate_training(cfg)
     base = TrainConfig(**cfg["train"])
+    # the data, and the budgets drawn from it, fail before the first file
+    train_ds, val_ds, test_ds = build_datasets(cfg)
+    dr = _drfit_config(cfg, train_ds)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     digest = config_digest(cfg)
     _write_json(out / "resolved_config.json", cfg)
-
-    train_ds, val_ds, test_ds = build_datasets(cfg)
     if train_ds.mislabel_mask is not None:
         with _replacing(out / "train_snapshot.csv") as tmp:
             save_dataset_csv(train_ds, tmp)
-    dr = _drfit_config(cfg, train_ds)
     layer_sizes = [train_ds.n_features, *cfg["data"]["hidden"], 1]
 
     seeds = [base.seed + r for r in range(cfg["replications"])]
@@ -526,21 +509,12 @@ def _aggregate_training(cfg, out: Path, train_ds, runs, omegas, failures) -> dic
         "runs": len(runs),
         "failures": len(failures),
         "crashes": sum(1 for _, r in runs if r["crash"]),
-        "mean_final_test_acc": None,
-        "mean_peak_test_acc": None,
-        "mean_final_val_acc": None,
         "per_run_auc": [r["detection_auc"] for _, r in runs],
         "mean_weight_auc": None,
     }
-    finals = [r["final_test_acc"] for _, r in runs if r["final_test_acc"] is not None]
-    peaks = [r["peak_test_acc"] for _, r in runs if r["peak_test_acc"] is not None]
-    vals = [r["final_val_acc"] for _, r in runs if r["final_val_acc"] is not None]
-    if finals:
-        summary["mean_final_test_acc"] = float(np.mean(finals))
-    if peaks:
-        summary["mean_peak_test_acc"] = float(np.mean(peaks))
-    if vals:
-        summary["mean_final_val_acc"] = float(np.mean(vals))
+    for key in ("final_test_acc", "peak_test_acc", "final_val_acc"):
+        values = [r[key] for _, r in runs if r[key] is not None]
+        summary[f"mean_{key}"] = float(np.mean(values)) if values else None
 
     mask = train_ds.mislabel_mask
     if omegas and mask is not None and mask.any():
@@ -563,6 +537,12 @@ def _aggregate_training(cfg, out: Path, train_ds, runs, omegas, failures) -> dic
 # theory reports
 
 def _entry(key, value, target=None, tol=None, passed=None):
+    """A report entry. Given a tolerance and no verdict, it passes when the
+    value lies within tol of the target, or below tol in size without one;
+    an entry without a value fails."""
+    if tol is not None and passed is None:
+        passed = value is not None and (abs(value) < tol if target is None
+                                        else abs(value - target) <= tol)
     return {"key": key, "value": value, "target": target, "tolerance": tol, "pass": passed}
 
 
@@ -598,7 +578,7 @@ def _report_theory_1d(cfg: dict) -> list[dict]:
         b_star = theory.find_bstar_1d(prob, estimate=estimate)
         resid = abs(estimate(prob, b_star) - s_star)
         entries.append(_entry("b_star", b_star))
-        entries.append(_entry("b_star_residual", resid, tol=1e-6, passed=resid < 1e-6))
+        entries.append(_entry("b_star_residual", resid, tol=1e-6))
     except (theory.HypothesisViolation, theory.DivergenceError) as exc:
         entries.append(_entry("b_star", None, target=str(exc), passed=False))
     return entries
@@ -618,9 +598,9 @@ def _report_theory_mv(cfg: dict) -> list[dict]:
         clean = theory.PopulationProblem(gauss, q=0.0, nodes=nodes)
         s_star_opt = theory.general_mv_estimator(clean, 0.0)
         err = float(np.linalg.norm(s_star_opt - np.asarray(case.s_star)))
-        entries.append(_entry("gaussian_s_star_error", err, tol=1e-5, passed=err < 1e-5))
+        entries.append(_entry("gaussian_s_star_error", err, tol=1e-5))
         resid = theory.w_identity_residual(mu, cov, nodes=nodes)
-        entries.append(_entry("w_identity_residual", resid, tol=1e-6, passed=abs(resid) < 1e-6))
+        entries.append(_entry("w_identity_residual", resid, tol=1e-6))
 
         noisy = theory.PopulationProblem(gauss, q=q, nodes=nodes)
         u = np.asarray(case.u)
@@ -628,14 +608,14 @@ def _report_theory_mv(cfg: dict) -> list[dict]:
             s_b = theory.general_mv_estimator(noisy, b)
             # atan2 keeps the digits that acos of a cosine near 1 loses
             angle = math.atan2(abs(float(s_b[0] * u[1] - s_b[1] * u[0])), abs(float(s_b @ u)))
-            entries.append(_entry(f"direction_angle_b_{b}", angle, tol=1e-3, passed=angle < 1e-3))
+            entries.append(_entry(f"direction_angle_b_{b}", angle, tol=1e-3))
         # the coefficient at b* is an estimate the b* search has made
         estimate = functools.cache(theory.weighted_estimator_1d)
         b_star = theory.find_bstar_1d(case.reduction, estimate=estimate)
         entries.append(_entry("b_star", b_star))
         s_bstar = theory.general_mv_estimator(noisy, b_star)
         gap = abs(float(s_bstar @ u) - estimate(case.reduction, b_star))
-        entries.append(_entry("reduction_gap_at_b_star", gap, tol=1e-4, passed=gap < 1e-4))
+        entries.append(_entry("reduction_gap_at_b_star", gap, tol=1e-4))
     except theory.OptimisationError as exc:
         entries.append(_entry("gaussian_case", None, target=str(exc), passed=False))
 
@@ -649,17 +629,9 @@ def _report_theory_mv(cfg: dict) -> list[dict]:
         except theory.OptimisationError as exc:
             entries.append(_entry(f"{name}_b_star", None, target=str(exc), passed=False))
             continue
-        entries.append(
-            _entry(f"{name}_ratio", res.ratio, target=target_ratio, tol=0.005,
-                   passed=abs(res.ratio - target_ratio) <= 0.005)
-        )
-        if target_b is not None:
-            entries.append(
-                _entry(f"{name}_b_star", res.b_star, target=target_b, tol=0.05,
-                       passed=abs(res.b_star - target_b) <= 0.05)
-            )
-        else:
-            entries.append(_entry(f"{name}_b_star", res.b_star))
+        entries.append(_entry(f"{name}_ratio", res.ratio, target=target_ratio, tol=0.005))
+        entries.append(_entry(f"{name}_b_star", res.b_star, target=target_b,
+                              tol=None if target_b is None else 0.05))
         entries.append(_entry(f"{name}_newton_iterations", res.newton_iterations))
         entries.append(_entry(f"{name}_max_grad_norm", res.max_grad_norm))
     return entries
@@ -675,7 +647,7 @@ def counterexample_problem(q: float = 0.2) -> theory.PopulationProblem:
     return theory.PopulationProblem(dist1, dist0=dist0, q=q)
 
 
-def _report_theory_counterexample() -> list[dict]:
+def _report_theory_counterexample(cfg: dict) -> list[dict]:
     from . import theory
 
     # the jump target, 1.62 +- 0.02, and the grid of alphas around it, both at q = 0.2
@@ -686,23 +658,24 @@ def _report_theory_counterexample() -> list[dict]:
         _entry("alpha_grid", f"[{lo}, {hi}] step {step}"),
         _entry("max_local_maxima", report.max_local_maxima, target=">= 2",
                passed=report.max_local_maxima >= 2),
-        _entry("jump_alpha", found, target=jump, tol=0.02,
-               passed=found is not None and abs(found - jump) <= 0.02),
+        _entry("jump_alpha", found, target=jump, tol=0.02),
         *(_entry(f"argmax_alpha_{e.alpha:.4g}", e.argmax) for e in report.entries),
     ]
 
 
+_REPORTS = {
+    "theory-1d": _report_theory_1d,
+    "theory-mv": _report_theory_mv,
+    "theory-counterexample": _report_theory_counterexample,
+}
+KINDS = (*_DATASETS, *_REPORTS)
+
+
 def run_theory_report(cfg: dict) -> list[dict]:
     cfg = validate_config(cfg)
-    kind = cfg["kind"]
-    if kind == "theory-1d":
-        entries = _report_theory_1d(cfg)
-    elif kind == "theory-mv":
-        entries = _report_theory_mv(cfg)
-    elif kind == "theory-counterexample":
-        entries = _report_theory_counterexample()
-    else:
-        raise ConfigError(f"kind {kind} is not a theory scenario")
+    if cfg["kind"] not in _REPORTS:
+        raise ConfigError(f"kind {cfg['kind']} is not a theory scenario")
+    entries = _REPORTS[cfg["kind"]](cfg)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "resolved_config.json", cfg)
@@ -710,12 +683,9 @@ def run_theory_report(cfg: dict) -> list[dict]:
     _write_csv(out / "report.csv", ["key", "value", "target", "tolerance", "pass"],
                ([e["key"], e["value"], e["target"], e["tolerance"], e["pass"]] for e in entries))
     for e in entries:
-        if e["pass"] is None:
-            print(f"INFO {e['key']} = {e['value']}")
-        else:
-            word = "PASS" if e["pass"] else "FAIL"
-            suffix = "" if e["target"] is None else f" (target {e['target']})"
-            print(f"{word} {e['key']} = {e['value']}{suffix}")
+        word = "INFO" if e["pass"] is None else "PASS" if e["pass"] else "FAIL"
+        suffix = "" if e["target"] is None else f" (target {e['target']})"
+        print(f"{word} {e['key']} = {e['value']}{suffix}")
     return entries
 
 
@@ -728,8 +698,8 @@ def run_sweep(cfg: dict) -> dict:
     lams = cfg["sweep"]["lam_grid"]
     if not alphas or not lams:
         raise ConfigError("sweep grids must be nonempty")
+    # each grid point's run creates out, once its data is built
     out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     rows, best = [], None
     for alpha in alphas:
         for lam in lams:
@@ -779,7 +749,7 @@ def run_detect(run_dir: str, snapshot: str, bins: int = 50) -> dict:
     omega_file = run / "omega.csv"
     if not omega_file.exists():
         raise DataError(f"no omega.csv in {run_dir}")
-    omega = _read_omega_csv(omega_file)
+    omega = load_weights_csv(omega_file)
     ds = load_dataset_csv(snapshot)
     if ds.mislabel_mask is None:
         raise DataError("snapshot has no mislabel mask")
@@ -808,18 +778,15 @@ def run_mnist_prep(cfg: dict, out_path: str) -> None:
 # ---------------------------------------------------------------------------
 # entry point
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _config_command(sub, name: str, text: str) -> argparse.ArgumentParser:
+    """The subcommand `name`, with the options of a command that reads a config."""
+    p = sub.add_parser(name, help=text)
     p.add_argument("--config", help="JSON config file")
-    p.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config key (dotted path); flags win over the file",
-    )
+    p.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                   help="override a config key (dotted path); flags win over the file")
     p.add_argument("--output-dir", help="shorthand for --set output_dir=...")
     p.add_argument("--kind", help="shorthand for --set kind=...")
+    return p
 
 
 # the kind a command runs when neither --kind nor the config names one
@@ -844,22 +811,14 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="run seeded training replications")
-    _add_common(p_train)
-
-    p_theory = sub.add_parser("theory", help="run a population-level report")
-    _add_common(p_theory)
-
-    p_sweep = sub.add_parser("sweep", help="grid-search alpha and lambda")
-    _add_common(p_sweep)
-
+    _config_command(sub, "train", "run seeded training replications")
+    _config_command(sub, "theory", "run a population-level report")
+    _config_command(sub, "sweep", "grid-search alpha and lambda")
     p_detect = sub.add_parser("detect", help="re-run detection metrics on stored weights")
     p_detect.add_argument("run_dir")
     p_detect.add_argument("snapshot", help="dataset snapshot CSV with mask")
     p_detect.add_argument("--bins", type=int, default=50)
-
-    p_prep = sub.add_parser("mnist-prep", help="ingest, filter, inject noise, snapshot")
-    _add_common(p_prep)
+    p_prep = _config_command(sub, "mnist-prep", "ingest, filter, inject noise, snapshot")
     p_prep.add_argument("--out", required=True, help="snapshot CSV path")
 
     args = parser.parse_args(argv)

@@ -10,6 +10,7 @@ simulation flip rates.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -323,13 +324,28 @@ def save_dataset_csv(ds: LabeledDataset, path) -> None:
             )
 
 
+def _csv_rows(path) -> list[list[str]]:
+    """The rows of a UTF-8 CSV file; a file that cannot be read, or a line
+    that is not UTF-8, is a DataError naming the file (and the line)."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        raw.decode("utf-8")
+    except OSError as exc:  # a missing file keeps the message it had as an OSError
+        raise DataError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}, line {line}: not UTF-8 text") from None
+    # decoded again a block at a time, so no copy of the whole text is held beside the rows
+    return list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")))
+
+
 def load_dataset_csv(path) -> LabeledDataset:
     """Read a save_dataset_csv snapshot. An empty file, a header without
     rows, a missing label column, and a row that is short, long, not
     numeric, or holds a label, true_label or mislabel other than 0 or 1 are
     DataErrors naming the file, and the line of a bad row."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _csv_rows(path)
     if not rows:
         raise DataError(f"{path}: empty snapshot, no header")
     header, rows = rows[0], rows[1:]
@@ -357,3 +373,21 @@ def load_dataset_csv(path) -> LabeledDataset:
     columns = dict(zip(names, np.array(ints, dtype=int).reshape(-1, len(names)).T))
     return LabeledDataset(feats, columns["label"], columns.get("true_label"),
                           columns.get("mislabel"))
+
+
+def load_weights_csv(path) -> np.ndarray:
+    """The weights of a run's omega.csv; a row that is not its own index and
+    a finite, nonnegative weight is a DataError naming the file and the line."""
+    omega = []
+    for line, r in enumerate(_csv_rows(path)[1:], start=2):
+        try:
+            if len(r) != 2:
+                raise ValueError(f"{len(r)} cells for 2 columns")
+            if int(r[0]) != line - 2:
+                raise ValueError(f"index {r[0]} where {line - 2} belongs")
+            if not 0.0 <= (w := float(r[1])) < math.inf:
+                raise ValueError(f"weight {w} is not finite and nonnegative")
+            omega.append(w)
+        except ValueError as exc:
+            raise DataError(f"{path}, line {line}: {exc}") from None
+    return np.array(omega)

@@ -14,9 +14,6 @@ import numpy as np
 # OpenBLAS runs a product of at most 2**18 multiply-adds on one thread; larger
 # ones wake worker threads that then spin through the steps' small products
 _ONE_THREAD_MACS = 2**18
-# train reduces its epoch-end metrics once per block of epochs, as many as keep
-# each stacked activation array of the block's evaluation within this many floats
-_BLOCK_FLOATS = 2**15
 
 
 class NumericError(FloatingPointError):
@@ -114,6 +111,12 @@ class ForwardCache:
     scores: np.ndarray  # (..., n) the final unit z of each example
 
 
+def one_thread_rows(n_in: int, n_out: int) -> int:
+    """The most rows whose product through an n_in x n_out layer OpenBLAS
+    runs on one thread; 0 when one row is already past it."""
+    return _ONE_THREAD_MACS // (n_in * n_out)
+
+
 def mlp_forward(params: MlpParams, batch: np.ndarray) -> ForwardCache:
     """Run the net on a batch (one example per row), keeping intermediates.
     Stacked nets take one batch per net, (R, n, n_in), or one batch shared
@@ -123,7 +126,7 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> ForwardCache:
         raise ValueError(f"batch {x.shape} does not match input width {params.n_in}")
     pre_acts, acts, a = [], [], x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        step = max(1, _ONE_THREAD_MACS // (w.shape[-2] * w.shape[-1]))
+        step = max(1, one_thread_rows(w.shape[-2], w.shape[-1]))
         if a.shape[-2] <= step:
             z = a @ w
         else:  # row blocks, of the same shapes alone and stacked

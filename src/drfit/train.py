@@ -27,10 +27,13 @@ import numpy as np
 from .core import (BudgetError, ConfigError, analytic_weights, class_members, member_weights,
                    scale_members)
 from .data import LabeledDataset
-from .nn import (_BLOCK_FLOATS, MlpParams, NumericError, label_signs, mlp_forward,
-                 per_example_loss, weighted_backward)
+from .nn import (MlpParams, NumericError, label_signs, mlp_forward, per_example_loss,
+                 weighted_backward)
 
 _LOG_CLAMP = 1e-8
+# train reduces its epoch-end metrics once per block of epochs, as many as keep
+# each stacked activation array of the block's evaluation within this many floats
+_BLOCK_FLOATS = 2**15
 
 SOLVERS = ("analytic", "numeric", "plain")
 

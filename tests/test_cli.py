@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drfit.cli as cli
-from drfit import data, theory
+from drfit import data, nn, theory
 from drfit.cli import (
     ConfigError,
     config_digest,
@@ -660,6 +660,37 @@ def test_node_cache_cannot_change_a_report(tmp_path):
     assert cold == warm == reports("cleared")
 
 
+@pytest.mark.parametrize("kind", ["mnist-1v7", "synthetic-train"])
+def test_theory_on_a_training_kind_exits_2_before_any_directory(tmp_path, capsys, kind):
+    out = tmp_path / "out"
+    assert main(["theory", "--kind", kind, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: kind {kind} is not a theory scenario\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["theory-1d", "theory-mv", "theory-counterexample"])
+def test_a_theory_kind_defines_no_datasets(kind):
+    with pytest.raises(ConfigError, match=f"^kind {kind} does not define datasets$"):
+        cli.build_datasets(validate_config(load_config(None, [f"kind={kind}"])))
+
+
+def test_every_verdict_with_a_tolerance_is_its_bound(tmp_path):
+    """A report entry with a tolerance passes exactly when its value lies
+    within it: |value - target| <= tol, or |value| < tol without a target;
+    an entry without a value fails."""
+    bounded = []
+    for kind in ("theory-1d", "theory-mv", "theory-counterexample"):
+        cfg = validate_config(load_config(None, [f"kind={kind}", f"output_dir={tmp_path / kind}"]))
+        bounded += [e for e in cli.run_theory_report(cfg) if e["tolerance"] is not None]
+    assert len(bounded) == 12
+    for e in bounded:
+        value, target, tol = e["value"], e["target"], e["tolerance"]
+        within = value is not None and (abs(value) < tol if target is None
+                                        else abs(value - target) <= tol)
+        assert e["pass"] is within, e
+    assert cli._entry("jump_alpha", None, target=1.62, tol=0.02)["pass"] is False
+
+
 # ---------------------------------------------------------------------------
 # detect and mnist-prep
 
@@ -724,13 +755,22 @@ def _with_cell(header: str, row: str, column: str, value: str) -> str:
 
 
 @pytest.mark.parametrize("kind", ["empty", "no-rows", "short-row", "non-numeric", "non-finite",
-                                  *_BAD_LABELS])
+                                  *_BAD_LABELS, "not-utf-8", "directory", "missing"])
 def test_detect_on_a_malformed_snapshot_exits_3(tmp_path, capsys, kind):
     run_training_experiment(_synth_cfg(tmp_path, replications=1), quiet=True)
     run_dir = next(Path(tmp_path).glob("*-seed*"))
     lines = (tmp_path / "train_snapshot.csv").read_text().splitlines()
+    snapshot = tmp_path / f"{kind}.csv"
     needles = []
-    if kind == "empty":
+    if kind == "directory":
+        snapshot.mkdir()
+        needles = [f"Is a directory: '{snapshot}'"]
+    elif kind == "missing":  # the message it had as a FileNotFoundError
+        needles = [f"data error: [Errno 2] No such file or directory: '{snapshot}'"]
+    elif kind == "not-utf-8":
+        lines[3] = "\xe9" + lines[3]  # one byte in Latin-1
+        needles = [f"{snapshot}, line 4: not UTF-8 text"]
+    elif kind == "empty":
         lines = []
     elif kind == "no-rows":
         lines = lines[:1]
@@ -748,8 +788,8 @@ def test_detect_on_a_malformed_snapshot_exits_3(tmp_path, capsys, kind):
     else:
         lines[7] = "x" + lines[7]
         needles = ["line 8"]
-    snapshot = tmp_path / f"{kind}.csv"
-    snapshot.write_text("".join(line + "\n" for line in lines))
+    if kind not in ("directory", "missing"):
+        snapshot.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
     _assert_detect_exits_3(run_dir, snapshot, capsys, str(snapshot), *needles)
 
 
@@ -760,16 +800,25 @@ _BAD_OMEGA_ROWS = {"short-row": ("2", "1 cells"), "non-numeric": ("2,abc", "abc"
                    "out-of-order": ("3,1.0", "index 3 where 2 belongs")}
 
 
-@pytest.mark.parametrize("kind", _BAD_OMEGA_ROWS)
+@pytest.mark.parametrize("kind", [*_BAD_OMEGA_ROWS, "not-utf-8", "directory"])
 def test_detect_on_a_malformed_omega_csv_exits_3(tmp_path, capsys, kind):
     run_training_experiment(_synth_cfg(tmp_path, replications=1), quiet=True)
     run_dir = next(Path(tmp_path).glob("*-seed*"))
     omega = run_dir / "omega.csv"
     lines = omega.read_text().splitlines()
-    lines[3], needle = _BAD_OMEGA_ROWS[kind]
-    omega.write_text("".join(line + "\n" for line in lines))
-    _assert_detect_exits_3(run_dir, tmp_path / "train_snapshot.csv", capsys, str(omega),
-                           "line 4", needle)
+    if kind == "directory":
+        omega.unlink()
+        omega.mkdir()
+        needles = [f"Is a directory: '{omega}'"]
+    elif kind == "not-utf-8":
+        lines[3] = "2,1.0\xe9"  # one byte in Latin-1
+        omega.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
+        needles = [f"{omega}, line 4: not UTF-8 text"]
+    else:
+        lines[3], needle = _BAD_OMEGA_ROWS[kind]
+        omega.write_text("".join(line + "\n" for line in lines))
+        needles = [str(omega), "line 4", needle]
+    _assert_detect_exits_3(run_dir, tmp_path / "train_snapshot.csv", capsys, *needles)
 
 
 def _mnist_cfg(root, subsample=2000):
@@ -870,23 +919,33 @@ def test_sweep_trains_the_mnist_kind_it_is_given_from_snapshots_with_a_test_set(
 # exit codes
 
 
-def test_exit_codes():
-    assert main(["train", "--set", "kind=bogus"]) == 2
-    assert main(["train", "--config", "/no/such/file.json"]) == 3
-    assert (
-        main(
-            [
-                "train",
-                "--kind",
-                "mnist-1v7",
-                "--set",
-                "data.root=/no/such/root",
-                "--output-dir",
-                "/tmp/drfit-exit-code-test",
-            ]
-        )
-        == 3
-    )
+def test_exit_codes(tmp_path, capsys):
+    """Each bad input exits with its code and a message naming it, before
+    any directory is created."""
+    config_dir, latin1 = tmp_path / "config.json", tmp_path / "latin1.json"
+    config_dir.mkdir()
+    latin1.write_bytes('{"kind": "synthetic-train", "output_dir": "d\xe9j\xe0"}'.encode("latin-1"))
+    out = tmp_path / "out"
+    for argv, code, needle in [
+        (["train", "--set", "kind=bogus"], 2, "kind must be one of"),
+        (["train", "--config", "/no/such/file.json"], 3,
+         "config file not found: /no/such/file.json"),
+        (["train", "--kind", "mnist-1v7", "--set", "data.root=/no/such/root"], 3,
+         "/no/such/root/train-images-idx3-ubyte"),
+        (["train", "--config", str(config_dir)], 3, f"config file cannot be read: {config_dir}"),
+        (["train", "--config", str(latin1)], 2, "config is not UTF-8 text"),
+        # one row per class: data.val_fraction 0.1 leaves the validation set empty, 0.6 the
+        # training set
+        (["train", "--set", "data.n=2"], 3, "the validation set is empty"),
+        (["sweep", "--set", "data.n=2"], 3, "into 2 training and 0 validation rows"),
+        (["train", "--set", "data.n=2", "--set", "data.val_fraction=0.6"], 3,
+         "the training set is empty: data.val_fraction 0.6 splits the 2 noisy rows into "
+         "0 training and 2 validation rows"),
+    ]:
+        assert main([*argv, "--output-dir", str(out)]) == code, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " if code == 2 else "data error: ") and needle in err
+        assert not out.exists(), argv
 
 
 def test_train_on_a_snapshot_with_a_non_finite_feature_exits_3(tmp_path, capsys):
@@ -985,6 +1044,8 @@ def test_sweep_exits_4_only_when_no_grid_point_finishes(tmp_path, capsys, monkey
     assert (out / "sweep_table.csv").read_text().splitlines()[1] == "1.0,0.0,,0,0,False"
 
     def fake_experiment(sub, quiet=False):
+        # a grid point's run creates its directory and the sweep's
+        Path(sub["output_dir"]).mkdir(parents=True)
         runs = 0 if sub["drfit"]["alpha"] == 2.0 else 1
         return {"runs": runs, "crashes": 0, "failures": 2 - runs,
                 "mean_final_val_acc": 0.5 if runs else None}
@@ -1083,7 +1144,7 @@ def test_a_step_product_past_one_blas_thread_starts_no_worker(tmp_path, monkeypa
                                                               batch_size, shards):
     """64 rows through a 64 x 64 layer are nn._ONE_THREAD_MACS multiply-adds;
     one row more would wake OpenBLAS's threads, so the parent trains every net."""
-    assert 64 * 64 * 64 == cli._ONE_THREAD_MACS
+    assert 64 * 64 * 64 == nn._ONE_THREAD_MACS
     _cpus(monkeypatch, 3)
     calls = _parent_shards(monkeypatch)
     if shards == 1:  # a worker would need a context

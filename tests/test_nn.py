@@ -7,11 +7,13 @@ import pytest
 from scipy.special import expit, log_expit
 
 from drfit.nn import (
+    _ONE_THREAD_MACS,
     ForwardCache,
     MlpParams,
     NumericError,
     init_params,
     mlp_forward,
+    one_thread_rows,
     per_example_loss,
     weighted_backward,
 )
@@ -276,3 +278,15 @@ def test_nonfinite_values_name_the_failed_nets():
         mlp_forward(stacked, np.ones((4, 2)))
     assert err.value.bad.tolist() == [False, True, False]
     assert "layer 1" in str(err.value)
+
+
+@pytest.mark.parametrize("n_in, n_out", [(196, 8), (8, 1), (64, 64), (512, 512), (513, 512),
+                                         (2**18 + 1, 1)])
+def test_one_thread_rows_bounds_a_product_by_the_one_thread_size(n_in, n_out):
+    """rows > one_thread_rows(n_in, n_out) exactly when a product of that many
+    rows passes the one-thread size, so a 1-row step through a layer past it
+    keeps one shard, while mlp_forward still takes blocks of at least 1 row."""
+    k = one_thread_rows(n_in, n_out)
+    for rows in (1, max(k, 1), k + 1):
+        assert (rows > k) == (rows * n_in * n_out > _ONE_THREAD_MACS)
+    assert (k == 0) == (n_in * n_out > _ONE_THREAD_MACS)

@@ -118,3 +118,23 @@ def test_every_exception_class_is_told_apart_by_the_program():
     """A subclass that no handler or isinstance check names is its base
     under another name: the program raises the base instead."""
     assert _untold_exception_classes() == []
+
+
+def _private_imports() -> list:
+    """Names with a leading underscore that a module of src/drfit imports
+    from another module of the package, as "importer <- module.name"."""
+    found = []
+    for p in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or node.module.partition(".")[0] == "drfit":
+                found += [f"{p.stem} <- {node.module}.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A leading underscore keeps a name to its module: a rule that another
+    module needs is a public function of the module that states it."""
+    assert _private_imports() == []
